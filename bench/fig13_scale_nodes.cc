@@ -36,10 +36,13 @@ int main(int argc, char** argv) {
       for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
         rt.InsertLink(l.src, l.dst);
       }
-      if (!rt.Run()) continue;
-      for (const LinkTuple& l : DeletionSequence(topo, 0.1, env.seed)) {
-        rt.DeleteLink(l.src, l.dst);
-        if (!rt.Run()) break;
+      // A cell whose insertion phase blows its budget is recorded
+      // (converged: false), never dropped.
+      if (rt.Run()) {
+        for (const LinkTuple& l : DeletionSequence(topo, 0.1, env.seed)) {
+          rt.DeleteLink(l.src, l.dst);
+          if (!rt.Run()) break;  // Metrics now carry converged: false.
+        }
       }
       RunMetrics m = rt.Metrics();
       // Report per-peer communication and state (the paper computes

@@ -104,6 +104,40 @@ void BM_BddNotO1(benchmark::State& state) {
 }
 BENCHMARK(BM_BddNotO1)->Iterations(1000000);
 
+// Restrict of a variable the function does not depend on — the common case
+// when a kill visits an annotation. The wide function uses even variables
+// only, so every odd variable (inside the order's range, not past it) has
+// a clear support-signature bit and Restrict returns at the root: the timed
+// loop must leave the unique-table probe and op-cache lookup counters
+// exactly where they started, or the bench hard-fails.
+void BM_BddRestrictAbsent(benchmark::State& state) {
+  bdd::Manager mgr;
+  Rng rng(19);
+  bdd::Bdd f(&mgr, mgr.False());
+  for (int t = 0; t < 64; ++t) {
+    bdd::Var base = static_cast<bdd::Var>(rng.NextBounded(24));
+    bdd::Bdd p(&mgr, mgr.True());
+    for (bdd::Var j = 0; j < 4; ++j) {
+      p = p.And(bdd::Bdd(&mgr, mgr.MakeVar(2 * (base + j))));
+    }
+    f = f.Or(p);
+  }
+  const uint64_t probes_before = mgr.unique_probes();
+  const uint64_t lookups_before = mgr.cache_lookups();
+  bdd::Var v = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mgr.Restrict(f.index(), v, false));
+    v = (v + 2) % 32;
+  }
+  if (mgr.unique_probes() != probes_before) {
+    state.SkipWithError("Restrict of an absent variable probed the table");
+  }
+  if (mgr.cache_lookups() != lookups_before) {
+    state.SkipWithError("Restrict of an absent variable walked the BDD");
+  }
+}
+BENCHMARK(BM_BddRestrictAbsent)->Iterations(1000000);
+
 // Diff over complemented operands: Diff(¬a, ¬b) = And(¬a, b) recurses on
 // the same tagged pairs as earlier And calls, so after a warm-up pass the
 // steady state is pure op-cache hits — no materialized negation of either

@@ -79,6 +79,7 @@ void Manager::EnsureSegment(size_t seg) {
     Segment* s = new Segment();
     s->nodes = std::make_unique<Node[]>(kSegSize);
     s->refs = std::make_unique<std::atomic<uint32_t>[]>(kSegSize);
+    s->sigs = std::make_unique<uint32_t[]>(kSegSize);
     for (size_t i = 0; i < kSegSize; ++i) {
       s->refs[i].store(0, std::memory_order_relaxed);
     }
@@ -86,6 +87,7 @@ void Manager::EnsureSegment(size_t seg) {
     if (seg == 0) {
       seg0_nodes_.store(s->nodes.get(), std::memory_order_release);
       seg0_refs_.store(s->refs.get(), std::memory_order_release);
+      seg0_sigs_.store(s->sigs.get(), std::memory_order_release);
     }
     segments_allocated_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -175,6 +177,7 @@ BddRef Manager::MakeNode(Var var, BddRef low, BddRef high) {
     EnsureSegment(idx >> kSegBits);
   }
   node_at(idx) = Node{var, low, high, buckets_[bucket]};
+  sig_at(idx) = SigBit(var) | SupportSignature(low) | SupportSignature(high);
   ref_at(idx).store(0, std::memory_order_relaxed);
   buckets_[bucket] = idx;
   table_entries_.fetch_add(1, std::memory_order_relaxed);
@@ -253,6 +256,11 @@ BddRef Manager::Restrict(BddRef f, Var v, bool value) {
 }
 
 BddRef Manager::RestrictAllFalse(BddRef f, const std::vector<Var>& vars) {
+  // Most annotations a kill visits do not mention any killed variable; one
+  // signature test answers for all of them.
+  uint32_t mask = 0;
+  for (Var v : vars) mask |= SigBit(v);
+  if ((SupportSignature(f) & mask) == 0) return f;
   // Pin each intermediate result across the next Restrict (which may GC).
   BddRef r = f;
   Ref(r);
@@ -303,7 +311,8 @@ BddRef Manager::RestrictRec(BddRef f, Var v, bool value, WorkerSlot& w) {
   // polarities of f.
   const uint32_t c = f & 1u;
   const BddRef g = f ^ c;
-  if (IsTerminal(g)) return f;
+  // The support signature proves v absent from the whole subtree.
+  if ((SupportSignature(g) & SigBit(v)) == 0) return f;
   const Node& n = node_at(g >> 1);
   if (n.var > v) return f;  // Ordered: v cannot appear below.
   if (n.var == v) return (value ? n.high : n.low) ^ c;
@@ -314,7 +323,9 @@ BddRef Manager::RestrictRec(BddRef f, Var v, bool value, WorkerSlot& w) {
   if (CacheLookup(w, key, &cached)) return cached ^ c;
   BddRef lo = RestrictRec(n.low, v, value, w);
   BddRef hi = RestrictRec(n.high, v, value, w);
-  BddRef r = MakeNode(n.var, lo, hi);
+  // Unchanged cofactors: canonicity means the unique-table probe would
+  // return this very node, so skip it.
+  BddRef r = (lo == n.low && hi == n.high) ? g : MakeNode(n.var, lo, hi);
   CacheStore(w, key, r);
   return r ^ c;
 }
@@ -364,6 +375,8 @@ void Manager::Support(BddRef f, std::vector<Var>* vars) const {
 }
 
 bool Manager::DependsOn(BddRef f, Var v) const {
+  const uint32_t bit = SigBit(v);
+  if ((SupportSignature(f) & bit) == 0) return false;
   WorkerSlot& w = worker();
   BeginTraversal(w);
   w.traverse_stack.push_back(f >> 1);
@@ -373,7 +386,8 @@ bool Manager::DependsOn(BddRef f, Var v) const {
     if (n == kTerminalNode || !VisitFirst(w, n)) continue;
     const Node& node = node_at(n);
     if (node.var == v) return true;
-    if (node.var > v) continue;  // Ordered: v cannot appear below.
+    // Ordered, or absent by signature: v cannot appear below.
+    if (node.var > v || (sig_at(n) & bit) == 0) continue;
     w.traverse_stack.push_back(node.low >> 1);
     w.traverse_stack.push_back(node.high >> 1);
   }

@@ -146,10 +146,15 @@ class Manager {
   BddRef Diff(BddRef a, BddRef b);
 
   // f with variable v fixed to `value` (paper: "restrict"; deleting base
-  // tuple p zeroes out its variable, Section 4).
+  // tuple p zeroes out its variable, Section 4). Costs only the part of f
+  // the restriction changes: subtrees whose support signature misses v are
+  // returned as-is, and a node whose cofactors come back unchanged is
+  // reused without a unique-table probe.
   BddRef Restrict(BddRef f, Var v, bool value);
 
-  // f with every variable in `vars` fixed to false.
+  // f with every variable in `vars` fixed to false. Returns f itself, with
+  // no traversal and no GC poll, when f's signature misses every killed
+  // variable.
   BddRef RestrictAllFalse(BddRef f, const std::vector<Var>& vars);
 
   // --- Inspection ----------------------------------------------------------
@@ -170,6 +175,15 @@ class Manager {
 
   // Appends (sorted, deduplicated) the variables f depends on.
   void Support(BddRef f, std::vector<Var>* vars) const;
+
+  // The 32-bit support signature of f: bit (v & 31) is set for every
+  // variable v in f's support (the terminal's signature is 0). A clear bit
+  // proves v absent; a set bit may be a collision of two variables, which
+  // only costs a walk. Polarity-independent.
+  static uint32_t SigBit(Var v) { return uint32_t{1} << (v & 31); }
+  uint32_t SupportSignature(BddRef f) const {
+    return IsTerminal(f) ? 0 : sig_at(f >> 1);
+  }
 
   // True iff variable v is in the support of f.
   bool DependsOn(BddRef f, Var v) const;
@@ -307,6 +321,13 @@ class Manager {
   struct Segment {
     std::unique_ptr<Node[]> nodes;
     std::unique_ptr<std::atomic<uint32_t>[]> refs;
+    // Support signature per node: SigBit(var) OR'd with both children's
+    // signatures. Written once when MakeNode inserts the node, which keeps
+    // it exact across free-list reuse and snapshot restore; nodes are
+    // immutable, so GC and bucket growth never touch it. A side array
+    // rather than a Node field keeps Node at 16 bytes (cache-line aligned
+    // probe chains), and a pruned Restrict step reads only this word.
+    std::unique_ptr<uint32_t[]> sigs;
   };
 
   struct alignas(64) Stripe {
@@ -363,6 +384,11 @@ class Manager {
     if (n < kSegSize) return seg0_refs_.load(std::memory_order_relaxed)[n];
     return spine_[n >> kSegBits].load(std::memory_order_acquire)
         ->refs[n & kSegMask];
+  }
+  uint32_t& sig_at(NodeIndex n) const {
+    if (n < kSegSize) return seg0_sigs_.load(std::memory_order_relaxed)[n];
+    return spine_[n >> kSegBits].load(std::memory_order_acquire)
+        ->sigs[n & kSegMask];
   }
 
   WorkerSlot& worker() const {
@@ -435,6 +461,7 @@ class Manager {
   // segment allocates, read relaxed on the hot path.
   mutable std::atomic<Node*> seg0_nodes_{nullptr};
   mutable std::atomic<std::atomic<uint32_t>*> seg0_refs_{nullptr};
+  mutable std::atomic<uint32_t*> seg0_sigs_{nullptr};
   std::atomic<size_t> segments_allocated_{0};
   std::atomic<bool> seg_alloc_lock_{false};
   std::atomic<NodeIndex> next_index_{1};

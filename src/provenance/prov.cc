@@ -176,8 +176,13 @@ Prov Prov::RestrictFalse(const std::vector<bdd::Var>& killed) const {
     case ProvMode::kSet:
       // Set semantics cannot apply deletions locally (that is DRed's job).
       return *this;
-    case ProvMode::kAbsorption:
-      return FromBdd(bdd_.RestrictAllFalse(killed));
+    case ProvMode::kAbsorption: {
+      // An annotation the kill does not change is returned as-is.
+      bdd::Manager* mgr = bdd_.manager();
+      bdd::BddRef r = mgr->RestrictAllFalse(bdd_.index(), killed);
+      if (r == bdd_.index()) return *this;
+      return FromBdd(bdd::Bdd(mgr, r));
+    }
     case ProvMode::kRelative: {
       auto out = std::make_shared<RelSop>();
       for (const auto& d : rel_->derivations) {

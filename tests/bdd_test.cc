@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -340,7 +341,9 @@ TEST_F(BddTest, NotIsTagFlipWithoutTableTraffic) {
   for (int i = 0; i < 1000; ++i) {
     g = mgr_.Not(g);
     // Involution as identity of refs, not just semantic equality.
-    if (i % 2 == 1) EXPECT_EQ(g, f);
+    if (i % 2 == 1) {
+      EXPECT_EQ(g, f);
+    }
   }
   EXPECT_EQ(mgr_.Not(f), f ^ 1u);
   EXPECT_EQ(mgr_.unique_probes(), probes);
@@ -424,6 +427,156 @@ TEST_P(ComplementCanonicityTest, EquivalentFormsInternIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ComplementCanonicityTest,
                          ::testing::Values(11, 22, 33, 44));
+
+// ---------------------------------------------------------------------------
+// Restrict kernel: support signatures and the unchanged-node short-circuit.
+// ---------------------------------------------------------------------------
+
+// Every node reachable from `root` carries the exact signature of its own
+// support: the OR of SigBit(v) over Support.
+void ExpectExactSignatures(const Manager& mgr, BddRef root) {
+  std::unordered_set<BddRef> seen;
+  std::vector<BddRef> stack{root & ~1u};
+  while (!stack.empty()) {
+    BddRef f = stack.back();
+    stack.pop_back();
+    if (mgr.IsTerminal(f) || !seen.insert(f).second) continue;
+    std::vector<Var> support;
+    mgr.Support(f, &support);
+    uint32_t want = 0;
+    for (Var v : support) want |= Manager::SigBit(v);
+    EXPECT_EQ(mgr.SupportSignature(f), want) << "node " << (f >> 1);
+    stack.push_back(mgr.low_of(f) & ~1u);
+    stack.push_back(mgr.high_of(f) & ~1u);
+  }
+}
+
+// Variables chosen so that signature bits collide (1/33/65, 3/35, 8/40),
+// plus one variable no function uses but whose bit is shared (97 -> bit 1).
+constexpr Var kParityVars[] = {1, 3, 5, 8, 33, 35, 40, 65};
+constexpr Var kAbsentVar = 97;
+constexpr size_t kNumParityVars = sizeof(kParityVars) / sizeof(Var);
+
+// A random function with complement edges throughout: literals of either
+// polarity combined by And, Or, Diff and Not.
+BddRef RandomComplementFunction(Manager& mgr, Rng& rng) {
+  auto literal = [&] {
+    BddRef x = mgr.MakeVar(kParityVars[rng.NextBounded(kNumParityVars)]);
+    return rng.NextBool(0.5) ? mgr.Not(x) : x;
+  };
+  BddRef f = literal();
+  for (int i = 0; i < 6; ++i) {
+    BddRef g = literal();
+    switch (rng.NextBounded(4)) {
+      case 0: f = mgr.And(f, g); break;
+      case 1: f = mgr.Or(f, g); break;
+      case 2: f = mgr.Diff(f, g); break;
+      default: f = mgr.Not(mgr.Or(f, g)); break;
+    }
+  }
+  return f;
+}
+
+// Restrict and RestrictAllFalse agree with Evaluate on every assignment of
+// kParityVars (a superset of f's support).
+void ExpectRestrictParity(Manager& mgr, Rng& rng, BddRef f) {
+  const Var v = rng.NextBool(0.2)
+                    ? kAbsentVar
+                    : kParityVars[rng.NextBounded(kNumParityVars)];
+  const bool value = rng.NextBool(0.5);
+  std::vector<Var> killed;
+  for (Var k : kParityVars) {
+    if (rng.NextBool(0.3)) killed.push_back(k);
+  }
+  if (rng.NextBool(0.5)) killed.push_back(kAbsentVar);
+  const BddRef r = mgr.Restrict(f, v, value);
+  const BddRef k = mgr.RestrictAllFalse(f, killed);
+  if (!mgr.DependsOn(f, v)) {
+    EXPECT_EQ(r, f);
+  }
+  for (uint32_t asg = 0; asg < (1u << kNumParityVars); ++asg) {
+    std::unordered_map<Var, bool> truth;
+    for (size_t i = 0; i < kNumParityVars; ++i) {
+      truth[kParityVars[i]] = (asg >> i) & 1u;
+    }
+    std::unordered_map<Var, bool> fixed = truth;
+    fixed[v] = value;
+    EXPECT_EQ(mgr.Evaluate(r, truth), mgr.Evaluate(f, fixed))
+        << "restrict x" << v << "=" << value << " assignment " << asg;
+    fixed = truth;
+    for (Var d : killed) fixed[d] = false;
+    EXPECT_EQ(mgr.Evaluate(k, truth), mgr.Evaluate(f, fixed))
+        << "restrict-all-false assignment " << asg;
+  }
+  ExpectExactSignatures(mgr, r);
+  ExpectExactSignatures(mgr, k);
+}
+
+class RestrictParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RestrictParityTest, RestrictMatchesEvaluateAcrossGc) {
+  Manager mgr;
+  Rng rng(GetParam());
+  std::vector<Bdd> kept;
+  for (int round = 0; round < 4; ++round) {
+    const size_t allocated = mgr.allocated_nodes();
+    const size_t live = mgr.live_nodes();
+    for (int i = 0; i < 40; ++i) {
+      Bdd f(&mgr, RandomComplementFunction(mgr, rng));
+      ExpectRestrictParity(mgr, rng, f.index());
+      if (rng.NextBool(0.25)) kept.push_back(f);
+    }
+    if (round > 0) {
+      // This round's nodes went into slots the previous collection freed
+      // before the store grew.
+      EXPECT_LT(mgr.allocated_nodes() - allocated, mgr.live_nodes() - live);
+    }
+    ASSERT_GT(mgr.GarbageCollect(), 0u);
+    for (const Bdd& f : kept) {
+      ExpectExactSignatures(mgr, f.index());
+      ExpectRestrictParity(mgr, rng, f.index());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RestrictParityTest,
+                         ::testing::Values(3, 17, 29, 41));
+
+// A wide function whose support misses every variable with v & 31 in
+// {6, 7, 30, 31}.
+BddRef WideFunction(Manager& mgr) {
+  BddRef f = kFalse;
+  for (Var v = 0; v < 30; v += 2) {
+    if (v == 6) continue;
+    f = mgr.Or(f, mgr.And(mgr.MakeVar(v), mgr.Not(mgr.MakeVar(v + 1))));
+  }
+  return f;
+}
+
+TEST_F(BddTest, RestrictOfAbsentSignatureBitLeavesCountersFlat) {
+  BddRef f = WideFunction(mgr_);
+  ASSERT_GT(mgr_.CountNodes(f), 20u);
+  const uint64_t probes = mgr_.unique_probes();
+  const uint64_t lookups = mgr_.cache_lookups();
+  EXPECT_EQ(mgr_.Restrict(f, 7, false), f);
+  EXPECT_EQ(mgr_.Restrict(mgr_.Not(f), 39, true), mgr_.Not(f));
+  EXPECT_EQ(mgr_.RestrictAllFalse(f, {6, 7, 38, 63}), f);
+  EXPECT_FALSE(mgr_.DependsOn(f, 31));
+  EXPECT_EQ(mgr_.unique_probes(), probes);
+  EXPECT_EQ(mgr_.cache_lookups(), lookups);
+}
+
+TEST_F(BddTest, SignatureCollisionCostsAWalkButNoProbes) {
+  // Variable 32 is absent, but its bit is var 0's: Restrict walks the
+  // function and finds nothing to change, so every node is reused as-is.
+  BddRef f = WideFunction(mgr_);
+  const uint64_t probes = mgr_.unique_probes();
+  const uint64_t lookups = mgr_.cache_lookups();
+  EXPECT_EQ(mgr_.Restrict(f, 32, false), f);
+  EXPECT_FALSE(mgr_.DependsOn(f, 32));
+  EXPECT_EQ(mgr_.unique_probes(), probes);
+  EXPECT_GT(mgr_.cache_lookups(), lookups);
+}
 
 }  // namespace
 }  // namespace bdd

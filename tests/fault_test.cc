@@ -14,6 +14,7 @@
 //    visible in the link_dropped/link_retried/link_duplicated counters.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -102,7 +103,9 @@ TEST(FaultInjectorTest, OneShotKillFiresAtExactGeneration) {
     std::string site;
     bool killed = inj.ShouldKillWorker(&site);
     EXPECT_EQ(killed, gen == 5) << "gen " << gen;
-    if (killed) EXPECT_NE(site.find("worker-death@gen=5"), std::string::npos);
+    if (killed) {
+      EXPECT_NE(site.find("worker-death@gen=5"), std::string::npos);
+    }
   }
 }
 
@@ -376,7 +379,11 @@ TEST(CrashRecoveryEdgeTest, RetryBudgetExhaustionSurfacesTheFault) {
 class TornCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fault_test_torn.snap";
+    // Unique per test and process: ctest -j runs the fixture's tests as
+    // parallel processes.
+    path_ = ::testing::TempDir() + "fault_test_torn." +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "." + std::to_string(getpid()) + ".snap";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

@@ -10,12 +10,15 @@
 // inside one shared drain.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -54,8 +57,37 @@ constexpr char kRegion[] = R"(
 
 constexpr int kNodes = 12;
 
+// Removes every TempPath file, and the .tmp sibling an atomic write may
+// leave, when the test program exits.
+class TempFiles : public ::testing::Environment {
+ public:
+  static std::vector<std::string>& paths() {
+    static std::vector<std::string> paths;
+    return paths;
+  }
+  void TearDown() override {
+    for (const std::string& p : paths()) {
+      std::remove(p.c_str());
+      std::remove((p + ".tmp").c_str());
+    }
+  }
+};
+::testing::Environment* const kTempFiles =
+    ::testing::AddGlobalTestEnvironment(new TempFiles);
+
+// A scratch path unique to the running test and process. ctest runs every
+// discovered test in its own process, in parallel under -j, so a fixed name
+// would let parameterised cases overwrite each other's snapshots.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string tag =
+      std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(tag.begin(), tag.end(), '/', '_');
+  std::string path = std::string(::testing::TempDir()) + "/" + tag + "." +
+                     std::to_string(getpid()) + "." + name;
+  TempFiles::paths().push_back(path);
+  return path;
 }
 
 SensorField TestField() {
@@ -905,6 +937,60 @@ TEST(PersistCodecTest, NodeTableBitFlipFuzzIsTyped) {
       EXPECT_EQ(resolved.code(), StatusCode::kDataLoss) << "byte " << at;
     }
   }
+}
+
+// Every node reachable from `root` carries the exact signature of its own
+// support: the OR of SigBit(v) over Support.
+void ExpectExactSignatures(const bdd::Manager& mgr, bdd::BddRef root) {
+  std::unordered_set<bdd::BddRef> seen;
+  std::vector<bdd::BddRef> stack{root & ~1u};
+  while (!stack.empty()) {
+    bdd::BddRef f = stack.back();
+    stack.pop_back();
+    if (mgr.IsTerminal(f) || !seen.insert(f).second) continue;
+    std::vector<bdd::Var> support;
+    mgr.Support(f, &support);
+    uint32_t want = 0;
+    for (bdd::Var v : support) want |= bdd::Manager::SigBit(v);
+    EXPECT_EQ(mgr.SupportSignature(f), want) << "node " << (f >> 1);
+    stack.push_back(mgr.low_of(f) & ~1u);
+    stack.push_back(mgr.high_of(f) & ~1u);
+  }
+}
+
+// Decoded nodes are interned like any other, so their support signatures
+// are exact even when they land in slots a collection freed.
+TEST(PersistCodecTest, DecodedNodesCarryExactSignatures) {
+  bdd::Manager mgr;
+  Rng rng(0x5163);
+  std::vector<bdd::BddRef> roots;
+  for (int t = 0; t < 16; ++t) {
+    bdd::BddRef p = bdd::kTrue;
+    for (int j = 0; j < 3; ++j) {
+      // Variables up to 80 make signature bits collide.
+      p = mgr.And(p, mgr.MakeVar(static_cast<bdd::Var>(rng.NextBounded(80))));
+    }
+    roots.push_back(t == 0 ? p : mgr.Or(roots.back(), mgr.Not(p)));
+  }
+  persist::BddEncoder enc(&mgr);
+  std::vector<uint32_t> ids;
+  for (bdd::BddRef r : roots) ids.push_back(enc.Encode(r));
+  persist::Writer w;
+  enc.WriteNodeTable(&w);
+
+  bdd::Manager fresh;
+  for (bdd::Var v = 100; v < 200; ++v) fresh.MakeVar(v);
+  ASSERT_GT(fresh.GarbageCollect(), 0u);
+  persist::Reader r(w.bytes());
+  persist::BddDecoder dec(&fresh);
+  ASSERT_TRUE(dec.ReadNodeTable(&r).ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    bdd::BddRef restored = dec.Resolve(ids[i], &r);
+    EXPECT_EQ(fresh.SupportSignature(restored),
+              mgr.SupportSignature(roots[i]));
+    ExpectExactSignatures(fresh, restored);
+  }
+  ASSERT_TRUE(r.Check("resolve").ok());
 }
 
 }  // namespace

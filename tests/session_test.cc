@@ -62,12 +62,16 @@ SensorField TestField() {
   return MakeSensorGrid(grid);
 }
 
-SessionOptions SharedOptions() {
+// A session over `nodes` logical nodes mapped onto `physical` peers, with
+// every other option at its default.
+SessionOptions Topology(int nodes, int physical) {
   SessionOptions options;
-  options.num_nodes = kNodes;
-  options.num_physical = 4;
+  options.num_nodes = nodes;
+  options.num_physical = physical;
   return options;
 }
+
+SessionOptions SharedOptions() { return Topology(kNodes, 4); }
 
 // One step of the equivalence workload: the same mutation stream applied to
 // a view (session side) or an engine (isolated side).
@@ -248,7 +252,7 @@ TEST_P(SessionEquivalenceTest, SharedSubstrateMatchesIsolatedEngines) {
 }
 
 TEST(SessionTest, SharedEdbFansOutAndReplaysIntoLatePrograms) {
-  Session session(SessionOptions{4, 4, true});
+  Session session(Topology(4, 4));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
@@ -286,7 +290,7 @@ TEST(SessionTest, SharedEdbFansOutAndReplaysIntoLatePrograms) {
 }
 
 TEST(SessionTest, GroundFactsOfOneProgramReachCoResidentViews) {
-  Session session(SessionOptions{3, 3, true});
+  Session session(Topology(3, 3));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
@@ -305,7 +309,7 @@ TEST(SessionTest, GroundFactsOfOneProgramReachCoResidentViews) {
 }
 
 TEST(SessionTest, ConflictingRelationSchemasAreRejected) {
-  Session session(SessionOptions{4, 4, true});
+  Session session(Topology(4, 4));
   ASSERT_TRUE(session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
@@ -318,7 +322,7 @@ TEST(SessionTest, ConflictingRelationSchemasAreRejected) {
 }
 
 TEST(SessionTest, LateFactsGrowAllGraphViewsTogether) {
-  Session session(SessionOptions{3, 4, true});
+  Session session(Topology(3, 4));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- edge(x,y).
     reachable(x,y) :- edge(x,z), reachable(z,y).
@@ -345,7 +349,7 @@ TEST(SessionTest, LateFactsGrowAllGraphViewsTogether) {
 }
 
 TEST(SessionTest, ApplyPatchesEveryViewsLiveCaches) {
-  Session session(SessionOptions{4, 4, true});
+  Session session(Topology(4, 4));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
@@ -371,7 +375,7 @@ TEST(SessionTest, ApplyPatchesEveryViewsLiveCaches) {
 }
 
 TEST(SessionTest, FailedAddProgramLeavesSessionUsable) {
-  Session session(SessionOptions{4, 4, true});
+  Session session(Topology(4, 4));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
@@ -544,7 +548,7 @@ TEST(SessionTest, BudgetAbortPoisonsOnlyTheInitiatingView) {
     span(x,y) :- link(x,y).
     span(x,y) :- span(x,z), link(z,y).
   )";
-  Session session(SessionOptions{8, 4, true});
+  Session session(Topology(8, 4));
   EngineOptions tiny;
   tiny.runtime.message_budget = 10;  // Exhausts mid-drain.
   auto reach = session.AddProgram(kReach, tiny);
@@ -583,7 +587,7 @@ TEST(SessionTest, BudgetAbortPoisonsOnlyTheInitiatingView) {
 }
 
 TEST(SessionTest, SoftStateExpiryFansOutToEveryView) {
-  Session session(SessionOptions{3, 3, true});
+  Session session(Topology(3, 3));
   auto reach = session.AddProgram(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
