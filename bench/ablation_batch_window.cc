@@ -32,10 +32,11 @@ int main(int argc, char** argv) {
     opts.prov = ProvMode::kAbsorption;
     opts.ship = ship;
     opts.batch_window = window;
-    opts.num_physical = 12;
     opts.message_budget = 50'000'000;
     opts.time_budget_s = 30;
-    ReachableRuntime rt(topo.num_nodes, opts);
+    ReachableRuntime rt(
+        std::make_shared<Substrate>(topo.num_nodes, SubstrateOptions{}),
+        topo.num_nodes, opts);
     for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
       rt.InsertLink(l.src, l.dst);
     }

@@ -103,12 +103,10 @@ std::vector<Strategy> RegionStrategies() {
   };
 }
 
-RuntimeOptions MakeOptions(const Strategy& strategy, int num_physical,
-                           uint64_t budget) {
+RuntimeOptions MakeOptions(const Strategy& strategy, uint64_t budget) {
   RuntimeOptions opts;
   opts.prov = strategy.prov;
   opts.ship = strategy.ship;
-  opts.num_physical = num_physical;
   opts.message_budget = budget;
   // Wall-clock cap per fixpoint run (the paper's 5-minute cap, scaled to
   // the reduced default topology); capped cells print as ">" values.

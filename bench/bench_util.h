@@ -70,8 +70,7 @@ std::vector<Strategy> AllStrategies();
 // DRed + the two absorption variants (Figures 9-10).
 std::vector<Strategy> RegionStrategies();
 
-RuntimeOptions MakeOptions(const Strategy& strategy, int num_physical,
-                           uint64_t budget);
+RuntimeOptions MakeOptions(const Strategy& strategy, uint64_t budget);
 
 // Collects one RunMetrics per (series, x) cell and prints the figure's four
 // panels — (a) per-tuple provenance overhead (B), (b) communication

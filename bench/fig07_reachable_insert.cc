@@ -88,8 +88,7 @@ int RunCheckpointMode(const BenchArgs& args, const BenchEnv& env,
   if (saving) {
     EngineOptions options;
     options.num_nodes = topo.num_nodes;
-    options.runtime = MakeOptions(strategy, 12, 30'000'000);
-    options.runtime.shards = args.shards;
+    options.runtime = MakeOptions(strategy, 30'000'000);
     auto added = session.AddProgram(kQuery1, options);
     if (!added.ok()) {
       std::fprintf(stderr, "compile failed: %s\n",
@@ -174,10 +173,11 @@ int RunFaultMode(const BenchArgs& args, const BenchEnv& env,
   for (int lossy = 0; lossy < 2; ++lossy) {
     EngineOptions options;
     options.num_nodes = topo.num_nodes;
-    options.runtime = MakeOptions(strategy, 12, 30'000'000);
-    options.runtime.shards = shards;
-    if (lossy) options.runtime.faults = args.faults;
-    auto engine = Engine::Compile(kQuery1, options);
+    options.runtime = MakeOptions(strategy, 30'000'000);
+    SessionOptions deployment;
+    deployment.shards = shards;
+    if (lossy) deployment.faults = args.faults;
+    auto engine = Engine::Compile(kQuery1, options, deployment);
     if (!engine.ok()) {
       std::fprintf(stderr, "compile failed: %s\n",
                    engine.status().ToString().c_str());
@@ -244,9 +244,10 @@ int main(int argc, char** argv) {
     for (double ratio : {0.5, 0.75, 1.0}) {
       EngineOptions options;
       options.num_nodes = topo.num_nodes;
-      options.runtime = MakeOptions(strategy, 12, 30'000'000);
-      options.runtime.shards = args.shards;
-      auto engine = Engine::Compile(kQuery1, options);
+      options.runtime = MakeOptions(strategy, 30'000'000);
+      SessionOptions deployment;
+      deployment.shards = args.shards;
+      auto engine = Engine::Compile(kQuery1, options, deployment);
       if (!engine.ok()) {
         std::fprintf(stderr, "compile failed: %s\n",
                      engine.status().ToString().c_str());
@@ -272,9 +273,10 @@ int main(int argc, char** argv) {
     for (int shards : {1, 2, 4}) {
       EngineOptions options;
       options.num_nodes = topo.num_nodes;
-      options.runtime = MakeOptions(strategy, 12, 30'000'000);
-      options.runtime.shards = shards;
-      auto engine = Engine::Compile(kQuery1, options);
+      options.runtime = MakeOptions(strategy, 30'000'000);
+      SessionOptions deployment;
+      deployment.shards = shards;
+      auto engine = Engine::Compile(kQuery1, options, deployment);
       if (!engine.ok()) return 1;
       for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
         (*engine)->Insert("link", {double(l.src), double(l.dst)});
@@ -297,10 +299,11 @@ int main(int argc, char** argv) {
                             ShipMode::kLazy};
     EngineOptions options;
     options.num_nodes = topo.num_nodes;
-    options.runtime = MakeOptions(strategy, 12, 30'000'000);
-    options.runtime.shards = 2;
-    options.runtime.faults = plan.value();
-    auto engine = Engine::Compile(kQuery1, options);
+    options.runtime = MakeOptions(strategy, 30'000'000);
+    SessionOptions deployment;
+    deployment.shards = 2;
+    deployment.faults = plan.value();
+    auto engine = Engine::Compile(kQuery1, options, deployment);
     if (!engine.ok()) return 1;
     for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
       (*engine)->Insert("link", {double(l.src), double(l.dst)});

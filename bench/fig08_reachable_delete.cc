@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
 
   for (const Strategy& strategy : strategies) {
     for (double ratio : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-      ReachableRuntime rt(topo.num_nodes,
-                          MakeOptions(strategy, 12, 200'000'000));
+      ReachableRuntime rt(
+          std::make_shared<Substrate>(topo.num_nodes, SubstrateOptions{}),
+          topo.num_nodes, MakeOptions(strategy, 200'000'000));
       for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
         rt.InsertLink(l.src, l.dst);
       }

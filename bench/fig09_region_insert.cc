@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
     for (double ratio : {0.5, 0.75, 1.0}) {
       EngineOptions options;
       options.field = field;
-      options.runtime = MakeOptions(strategy, 12, 30'000'000);
-      options.runtime.shards = args.shards;
-      auto engine = Engine::Compile(kQuery3, options);
+      options.runtime = MakeOptions(strategy, 30'000'000);
+      SessionOptions deployment;
+      deployment.shards = args.shards;
+      auto engine = Engine::Compile(kQuery3, options, deployment);
       if (!engine.ok()) {
         std::fprintf(stderr, "compile failed: %s\n",
                      engine.status().ToString().c_str());
@@ -87,9 +88,10 @@ int main(int argc, char** argv) {
     for (int shards : {1, 2, 4}) {
       EngineOptions options;
       options.field = field;
-      options.runtime = MakeOptions(strategy, 12, 30'000'000);
-      options.runtime.shards = shards;
-      auto engine = Engine::Compile(kQuery3, options);
+      options.runtime = MakeOptions(strategy, 30'000'000);
+      SessionOptions deployment;
+      deployment.shards = shards;
+      auto engine = Engine::Compile(kQuery3, options, deployment);
       if (!engine.ok()) return 1;
       for (int sensor : pool) {
         (*engine)->Insert("triggered", {double(sensor)});

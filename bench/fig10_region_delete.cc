@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
 
   for (const Strategy& strategy : RegionStrategies()) {
     for (double ratio : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-      RegionRuntime rt(field, MakeOptions(strategy, 12, 100'000'000));
+      RegionRuntime rt(
+          std::make_shared<Substrate>(field.num_sensors, SubstrateOptions{}),
+          field, MakeOptions(strategy, 100'000'000));
       for (int s : pool) rt.Trigger(s);
       // A cell whose insertion phase blows its budget is recorded with the
       // insertion metrics (converged: false), never dropped.

@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
         Topology topo =
             MakeTransitStubWithTargetLinks(target, dense, env.seed);
         Strategy strategy{name, ProvMode::kAbsorption, ship};
-        ReachableRuntime rt(topo.num_nodes,
-                            MakeOptions(strategy, 12, 40'000'000));
+        ReachableRuntime rt(
+            std::make_shared<Substrate>(topo.num_nodes, SubstrateOptions{}),
+            topo.num_nodes, MakeOptions(strategy, 40'000'000));
         for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
           rt.InsertLink(l.src, l.dst);
         }

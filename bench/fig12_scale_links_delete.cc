@@ -33,12 +33,14 @@ int main(int argc, char** argv) {
         Topology topo =
             MakeTransitStubWithTargetLinks(target, dense, env.seed);
         Strategy strategy{name, ProvMode::kAbsorption, ship};
-        RuntimeOptions opts = MakeOptions(strategy, 12, 40'000'000);
+        RuntimeOptions opts = MakeOptions(strategy, 40'000'000);
         // Tighter cap than Figure 11: a non-converging insertion phase
         // cannot produce a meaningful deletion measurement (the paper's
         // figure likewise has no Eager Dense bars at the large scales).
         opts.time_budget_s = 20;
-        ReachableRuntime rt(topo.num_nodes, opts);
+        ReachableRuntime rt(
+            std::make_shared<Substrate>(topo.num_nodes, SubstrateOptions{}),
+            topo.num_nodes, opts);
         for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
           rt.InsertLink(l.src, l.dst);
         }

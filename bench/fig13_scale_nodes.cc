@@ -31,8 +31,11 @@ int main(int argc, char** argv) {
   };
   for (const Strategy& strategy : strategies) {
     for (int peers : {4, 8, 12, 16, 24}) {
-      ReachableRuntime rt(topo.num_nodes,
-                          MakeOptions(strategy, peers, 100'000'000));
+      SubstrateOptions deployment;
+      deployment.num_physical = peers;
+      ReachableRuntime rt(
+          std::make_shared<Substrate>(topo.num_nodes, deployment),
+          topo.num_nodes, MakeOptions(strategy, 100'000'000));
       for (const LinkTuple& l : InsertionPrefix(topo, 1.0, env.seed)) {
         rt.InsertLink(l.src, l.dst);
       }

@@ -27,10 +27,11 @@ RunMetrics RunOnce(const Topology& topo, AggSelPolicy policy,
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
   opts.ship = ShipMode::kLazy;
-  opts.num_physical = 12;
   opts.message_budget = budget;
   opts.time_budget_s = 60;
-  ShortestPathRuntime rt(topo.num_nodes, opts, policy);
+  ShortestPathRuntime rt(
+      std::make_shared<Substrate>(topo.num_nodes, SubstrateOptions{}),
+      topo.num_nodes, opts, policy);
   for (const LinkTuple& l : InsertionPrefix(topo, 1.0, seed)) {
     rt.InsertLink(l.src, l.dst, l.cost_ms);
   }

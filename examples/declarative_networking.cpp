@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   options.aggsel = recnet::AggSelPolicy::kMulti;
   options.runtime.prov = recnet::ProvMode::kAbsorption;
   options.runtime.ship = recnet::ShipMode::kLazy;
-  options.runtime.num_physical = 12;  // Paper default cluster size.
+  recnet::SessionOptions deployment;
+  deployment.num_physical = 12;  // Paper default cluster size.
 
   // Query 2. The dialect has no arithmetic: the head's cost column stands
   // for the runtime-computed sum, and vec/length are maintained internally.
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     path(x,y,c) :- link(x,y,c).
     path(x,y,c) :- link(x,z,c), path(z,y,c2).
     minCost(x,y,min<c>) :- path(x,y,c).
-  )", options);
+  )", options, deployment);
   if (!engine.ok()) {
     std::fprintf(stderr, "compile failed: %s\n",
                  engine.status().ToString().c_str());

@@ -16,12 +16,14 @@ int main() {
   options.num_nodes = 4;
   options.runtime.prov = recnet::ProvMode::kAbsorption;
   options.runtime.ship = recnet::ShipMode::kLazy;
-  options.runtime.num_physical = 4;
+  // The deployment: those nodes run on 4 physical peers.
+  recnet::SessionOptions deployment;
+  deployment.num_physical = 4;
 
   auto engine = recnet::Engine::Compile(R"(
     reachable(x,y) :- link(x,y).
     reachable(x,y) :- link(x,z), reachable(z,y).
-  )", options);
+  )", options, deployment);
   if (!engine.ok()) {
     std::fprintf(stderr, "compile failed: %s\n",
                  engine.status().ToString().c_str());

@@ -27,7 +27,8 @@ int main() {
   options.field = field;
   options.runtime.prov = recnet::ProvMode::kAbsorption;
   options.runtime.ship = recnet::ShipMode::kLazy;
-  options.runtime.num_physical = 12;
+  recnet::SessionOptions deployment;
+  deployment.num_physical = 12;
 
   // Query 3: the region grows from a triggered seed along the proximity
   // EDB (the paper's distance(x,y) < k guard, precomputed into `near`).
@@ -35,7 +36,7 @@ int main() {
     activeRegion(r,x) :- seed(r,x), triggered(x).
     activeRegion(r,y) :- activeRegion(r,x), triggered(x), near(x,y).
     regionSizes(r,count<x>) :- activeRegion(r,x).
-  )", options);
+  )", options, deployment);
   if (!engine.ok()) {
     std::fprintf(stderr, "compile failed: %s\n",
                  engine.status().ToString().c_str());

@@ -280,8 +280,7 @@ class Manager {
 
   // Interns one node while decoding a snapshot (children must already be
   // interned; either may be complemented — the canonical polarity is
-  // re-derived here, so pre-complement-edge snapshots decode to canonical
-  // tagged refs). Never triggers GC, so a decoder can hold freshly
+  // re-derived here). Never triggers GC, so a decoder can hold freshly
   // interned, not-yet-referenced nodes across calls. The caller is
   // expected to Ref (e.g. via a Bdd handle) every returned root it wants
   // to keep.

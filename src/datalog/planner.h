@@ -21,8 +21,8 @@ struct AggViewSpec {
 };
 
 // Which distributed runtime a recognized program lowers onto. Each kind maps
-// to a QueryRuntime adapter in engine/runtime_registry; new query shapes add
-// a kind here and a factory there.
+// to a QueryRuntime adapter in engine/runtime_registry; a new query shape
+// adds a kind here and a case to InstantiateRuntime there.
 enum class PlanKind {
   // Transitive closure over a binary EDB (paper Query 1, Figure 4).
   kReachable,

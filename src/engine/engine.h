@@ -54,9 +54,12 @@ class Engine {
   // parameters (a region plan with neither EngineOptions::field nor ground
   // deployment facts); fact-loading validation errors (InvalidArgument /
   // OutOfRange) for in-program ground facts the instantiated runtime
-  // rejects.
+  // rejects. `deployment` configures the engine's session (physical peers,
+  // router shards, fault plan); its num_nodes is taken from
+  // EngineOptions::num_nodes.
   static StatusOr<std::unique_ptr<Engine>> Compile(
-      const std::string& source, const EngineOptions& options);
+      const std::string& source, const EngineOptions& options,
+      const SessionOptions& deployment = {});
 
   // The plan the program lowered onto.
   const datalog::PlanSpec& plan() const { return view_->plan(); }

@@ -25,8 +25,7 @@ struct RunMetrics {
 
   uint64_t messages = 0;
   uint64_t kill_messages = 0;
-  // Delivery batches dispatched (same-destination runs); equals deliveries
-  // when batching is disabled.
+  // Delivery batches dispatched (same-(dst, port) runs).
   uint64_t batches = 0;
   // Budget-exhaustion record: how many runs were cut off before quiescence
   // and how many queued messages were discarded when that happened. A
@@ -51,17 +50,21 @@ struct RunMetrics {
   // contended first acquisitions of a unique-table stripe lock, op-cache
   // hit rate across all worker slots, and node-store segments allocated.
   // Transient diagnostics: sampled live from the manager, deliberately NOT
-  // serialized into checkpoint metrics (the v2 snapshot format is stable).
+  // serialized into checkpoint metrics.
   uint64_t bdd_stripe_contention = 0;
   double bdd_cache_hit_rate = 0;
   uint64_t bdd_store_segments = 0;
   // Eager→lazy absorption demotions across this view's MinShips (see
-  // RuntimeOptions::eager_demote_width). Like the bdd_* fields above, a
-  // live diagnostic that is not serialized into checkpoint metrics.
+  // kEagerDemoteWidth). Like the bdd_* fields above, a live diagnostic
+  // that is not serialized into checkpoint metrics.
   uint64_t ship_demotions = 0;
 
   std::string ToString() const;
 };
+
+// Mean per-message latency of the simulated cluster, in seconds (the
+// runtimes' convergence estimates use it).
+inline constexpr double kPerMsgLatencyS = 0.0005;
 
 // Derives a parallel-convergence estimate from traffic accounting: the
 // single-threaded work divides across `num_physical` peers, while every

@@ -12,16 +12,6 @@ Tuple CombineLinkReach(const Tuple& link, const Tuple& reach) {
 
 }  // namespace
 
-ReachableRuntime::ReachableRuntime(int num_nodes,
-                                   const RuntimeOptions& options)
-    : RuntimeBase(num_nodes, options) {
-  nodes_.resize(static_cast<size_t>(num_nodes));
-  links_by_src_.resize(static_cast<size_t>(num_nodes));
-  for (int n = 0; n < num_nodes; ++n) {
-    InitNode(n, static_cast<size_t>(num_nodes));
-  }
-}
-
 ReachableRuntime::ReachableRuntime(std::shared_ptr<Substrate> substrate,
                                    int num_nodes,
                                    const RuntimeOptions& options)
@@ -52,8 +42,7 @@ void ReachableRuntime::InitNode(int n, size_t expected_nodes) {
       [this, n](const Tuple& tuple, const Prov& pv) {
         LogicalNode dest = static_cast<LogicalNode>(tuple.IntAt(0));
         ShipInsert(n, dest, kPortFix, tuple, pv);
-      },
-      opts_.eager_demote_width);
+      });
   state.ship->Reserve(expected_nodes);
 }
 
@@ -262,10 +251,6 @@ void ReachableRuntime::HandleBatch(const Envelope* envs, size_t n) {
   }
 }
 
-void ReachableRuntime::HandleEnvelope(const Envelope& env) {
-  HandleBatch(&env, 1);
-}
-
 uint64_t ReachableRuntime::CountShipDemotions() const {
   uint64_t total = 0;
   for (LogicalNode n = 0; n < num_logical(); ++n) {
@@ -277,11 +262,9 @@ uint64_t ReachableRuntime::CountShipDemotions() const {
 bool ReachableRuntime::AfterQuiescent() {
   // Demoted MinShips compact their buffers against the shipped state now
   // that the insert storm has drained (no traffic is generated).
-  bool reabsorbed = false;
   for (LogicalNode n = 0; n < num_logical(); ++n) {
-    if (node(n).ship->FlushIfDemoted()) reabsorbed = true;
+    node(n).ship->FlushIfDemoted();
   }
-  if (reabsorbed) return true;
   if (rederive_pending_) {
     rederive_pending_ = false;
     SeedRederivation();

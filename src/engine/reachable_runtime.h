@@ -31,8 +31,6 @@ namespace recnet {
 //     surviving tuples (paper Figure 5).
 class ReachableRuntime : public RuntimeBase {
  public:
-  ReachableRuntime(int num_nodes, const RuntimeOptions& options);
-  // Co-resident construction: one view on a shared session substrate.
   ReachableRuntime(std::shared_ptr<Substrate> substrate, int num_nodes,
                    const RuntimeOptions& options);
 
@@ -73,7 +71,6 @@ class ReachableRuntime : public RuntimeBase {
   // Vectorized delivery: one (dst, port) switch and node-state lookup per
   // run, with the operator applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  void HandleEnvelope(const Envelope& env) override;
   bool AfterQuiescent() override;
   uint64_t CountShipDemotions() const override;
   // Dynamic node-id space: extends the per-node operator state when the

@@ -10,12 +10,6 @@ constexpr int kPortAggRoot = 4;
 
 }  // namespace
 
-RegionRuntime::RegionRuntime(const SensorField& field,
-                             const RuntimeOptions& options)
-    : RuntimeBase(field.num_sensors, options), field_(field) {
-  InitNodes();
-}
-
 RegionRuntime::RegionRuntime(std::shared_ptr<Substrate> substrate,
                              const SensorField& field,
                              const RuntimeOptions& options)
@@ -45,8 +39,7 @@ void RegionRuntime::InitNodes() {
         [this, n](const Tuple& tuple, const Prov& pv) {
           LogicalNode dest = static_cast<LogicalNode>(tuple.IntAt(1));
           ShipInsert(n, dest, kPortFix, tuple, pv);
-        },
-        opts_.eager_demote_width);
+        });
     state.ship->Reserve(field_.seed_sensors.size());
     state.region_sizes = std::make_unique<GroupByAggregate>(
         std::vector<size_t>{0},
@@ -300,10 +293,6 @@ void RegionRuntime::HandleBatch(const Envelope* envs, size_t n) {
   }
 }
 
-void RegionRuntime::HandleEnvelope(const Envelope& env) {
-  HandleBatch(&env, 1);
-}
-
 uint64_t RegionRuntime::CountShipDemotions() const {
   uint64_t total = 0;
   for (LogicalNode n = 0; n < num_logical(); ++n) {
@@ -315,11 +304,9 @@ uint64_t RegionRuntime::CountShipDemotions() const {
 bool RegionRuntime::AfterQuiescent() {
   // Demoted MinShips compact their buffers against the shipped state now
   // that the insert storm has drained (no traffic is generated).
-  bool reabsorbed = false;
   for (LogicalNode n = 0; n < num_logical(); ++n) {
-    if (node(n).ship->FlushIfDemoted()) reabsorbed = true;
+    node(n).ship->FlushIfDemoted();
   }
-  if (reabsorbed) return true;
   if (rederive_pending_) {
     rederive_pending_ = false;
     SeedRederivation();

@@ -33,9 +33,7 @@ namespace recnet {
 //                         distance(x, y) < k.                   [pv ∧ t_x]
 class RegionRuntime : public RuntimeBase {
  public:
-  RegionRuntime(const SensorField& field, const RuntimeOptions& options);
-  // Co-resident construction: one view on a shared session substrate. The
-  // view spans the field's sensors; unlike the graph runtimes it is
+  // The view spans the field's sensors; unlike the graph runtimes it is
   // deployment-bound and does not extend when the session topology grows.
   RegionRuntime(std::shared_ptr<Substrate> substrate, const SensorField& field,
                 const RuntimeOptions& options);
@@ -81,7 +79,6 @@ class RegionRuntime : public RuntimeBase {
   // Vectorized delivery: one (dst, port) switch and node-state lookup per
   // run, with the operator applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  void HandleEnvelope(const Envelope& env) override;
   bool AfterQuiescent() override;
   uint64_t CountShipDemotions() const override;
   size_t StateSizeBytes() const override;

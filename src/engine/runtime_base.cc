@@ -7,16 +7,6 @@
 
 namespace recnet {
 
-RuntimeBase::RuntimeBase(int num_logical, const RuntimeOptions& options)
-    : RuntimeBase(std::make_shared<Substrate>(
-                      num_logical,
-                      SubstrateOptions{options.num_physical,
-                                       options.batch_delivery,
-                                       options.shards,
-                                       /*injector=*/nullptr,
-                                       options.faults}),
-                  num_logical, options) {}
-
 RuntimeBase::RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
                          const RuntimeOptions& options)
     : opts_(options), sub_(std::move(substrate)) {
@@ -65,7 +55,7 @@ bool RuntimeBase::Run() {
     abort_metrics_->wall_seconds = wall_seconds_;
     abort_metrics_->sim_seconds = EstimateSimSeconds(
         wall_seconds_, abort_metrics_->messages, router().num_physical(),
-        opts_.per_msg_latency_s);
+        kPerMsgLatencyS);
   }
   if (out.faulted) {
     // An injected infrastructure fault stopped the drain. Unlike a budget
@@ -112,7 +102,7 @@ RunMetrics RuntimeBase::ComputeMetrics() const {
   m.wall_seconds = wall_seconds_;
   m.sim_seconds = EstimateSimSeconds(wall_seconds_, s.messages,
                                      router().num_physical(),
-                                     opts_.per_msg_latency_s);
+                                     kPerMsgLatencyS);
   m.messages = s.messages;
   m.kill_messages = s.kill_messages;
   m.batches = s.batches;

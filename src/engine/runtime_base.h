@@ -36,7 +36,9 @@ inline constexpr int kPortFix = 1;        // Recursive view stream.
 inline constexpr int kPortKill = 2;       // Base-deletion notifications.
 inline constexpr int kPortAgg = 3;        // Final aggregation deltas.
 
-// Configuration of one distributed engine run.
+// Per-view maintenance policy of one distributed runtime. The deployment
+// (physical peers, router shards, fault plan) belongs to the Substrate the
+// runtime attaches to, not to the view.
 struct RuntimeOptions {
   // Which view-maintenance strategy annotates tuples. kSet selects the
   // DRed baseline (over-delete + re-derive); the provenance modes delete
@@ -49,22 +51,6 @@ struct RuntimeOptions {
   // once a second; our discrete equivalent counts updates — 256 updates
   // approximates one wall-clock second of their cluster's message rate).
   size_t batch_window = 256;
-  // Adaptive eager→lazy demotion ceiling for absorption provenance: when a
-  // tuple's merged annotation in a MinShip exceeds this many live BDD
-  // nodes, that operator drops to lazy semantics for the rest of the run
-  // (no periodic eager flushes; buffered alternates ship only when a kill
-  // promotes them), re-absorbing its buffer at each quiescent point.
-  // Bounds the quadratic Or-churn eager mode pays on wide fan-in nodes;
-  // 0 disables. Calibrated on the fig07 sweep: every converging eager
-  // cell's merged annotations stay under 384 nodes (zero demotions ⇒
-  // traffic bit-identical to the undemoted engine), while the one cell
-  // that blew the 45 s budget (Absorption-Eager x=1) crosses it within
-  // the first storms and converges in ~11 s demoted.
-  size_t eager_demote_width = 512;
-  // Physical peers the logical nodes are mapped onto (paper default: 12).
-  // Substrate-level: when a runtime attaches to a shared Substrate, the
-  // substrate's own deployment wins.
-  int num_physical = 12;
   // Work budget: maximum message deliveries per Run(). Exceeding it marks
   // the run non-converged (the paper's "did not complete within 5 min").
   uint64_t message_budget = 50'000'000;
@@ -73,27 +59,6 @@ struct RuntimeOptions {
   // (e.g. eager propagation of huge annotations) are cut off and reported
   // as non-converged.
   double time_budget_s = 0;
-  // Mean per-message latency for the simulated convergence estimate.
-  double per_msg_latency_s = 0.0005;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  // Purely a dispatch-cost optimization: delivery order, results, and all
-  // traffic counters except NetworkStats::batches are identical with it
-  // off (kept as a switch for A/B measurement). Substrate-level, like
-  // num_physical.
-  bool batch_delivery = true;
-  // Router shards the simulated network is partitioned across (see
-  // SubstrateOptions::shards). 1 keeps the classic sequential drain; more
-  // shards drain generations on parallel worker threads with bit-identical
-  // results and traffic counters (except NetworkStats::batches).
-  // Substrate-level, like num_physical.
-  int shards = 1;
-  // Fault injection (src/fault/fault.h): seeded worker-death / allocation
-  // failures surface as non-converged runs with RuntimeBase::last_fault()
-  // set (Session masks them via recovery); drop/dup rates arm the lossy
-  // shard-boundary link mode. Substrate-level, like num_physical; default
-  // is a fault-free plan. Deliberately NOT serialized into checkpoints —
-  // faults describe the run, not the session's durable state.
-  fault::FaultPlan faults;
 };
 
 // Common machinery of the distributed query runtimes: substrate access
@@ -101,11 +66,11 @@ struct RuntimeOptions {
 // namespace, view-scoped deletion ("kill") routing, and run/metrics
 // bookkeeping.
 //
-// A runtime either owns a private Substrate (the historical standalone
-// construction: `ReachableRuntime rt(num_nodes, options)`) or attaches to a
-// shared one as a co-resident view of a recnet::Session. In both cases it
-// keeps its own kill-subscription tables, kill dedup sets, and metrics, so
-// a view's observable behavior is independent of its neighbors.
+// A runtime attaches to a Substrate as one view: the only view of a private
+// substrate (`std::make_shared<Substrate>(n, SubstrateOptions{})`) or one
+// co-resident view of a recnet::Session. Either way it keeps its own
+// kill-subscription tables, kill dedup sets, and metrics, so a view's
+// observable behavior is independent of its neighbors.
 //
 // Deletion routing: when an update is shipped, the sender records, for each
 // base variable in the update's provenance support, that the destination is
@@ -117,11 +82,8 @@ struct RuntimeOptions {
 // case" (Section 4).
 class RuntimeBase {
  public:
-  // Standalone: builds a private substrate of `num_logical` nodes (the
-  // historical one-router-per-runtime construction).
-  RuntimeBase(int num_logical, const RuntimeOptions& options);
-  // Co-resident: attaches to `substrate` as one view spanning `num_logical`
-  // of the substrate's nodes (the substrate grows to at least that many).
+  // Attaches to `substrate` as one view spanning `num_logical` of the
+  // substrate's nodes (the substrate grows to at least that many).
   RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
               const RuntimeOptions& options);
   virtual ~RuntimeBase();
@@ -212,16 +174,10 @@ class RuntimeBase {
 
  protected:
   // Delivers a contiguous run of same-(dst, port) envelopes: every envelope
-  // of a run targets the same logical node and operator input. The default
-  // processes them in order through HandleEnvelope; the query runtimes
-  // override to hoist the per-destination/per-port state lookups out of the
+  // of a run targets the same logical node and operator input, so the query
+  // runtimes hoist the per-destination/per-port state lookups out of the
   // inner loop and apply the operator across the whole run.
-  virtual void HandleBatch(const Envelope* envs, size_t n) {
-    for (size_t i = 0; i < n; ++i) HandleEnvelope(envs[i]);
-  }
-
-  // Delivers one envelope to the runtime's operators.
-  virtual void HandleEnvelope(const Envelope& env) = 0;
+  virtual void HandleBatch(const Envelope* envs, size_t n) = 0;
 
   // Hook called at quiescence; return true to continue draining (used by
   // DRed to start its re-derivation phase after over-deletion finishes).
@@ -254,8 +210,8 @@ class RuntimeBase {
   virtual size_t StateSizeBytes() const = 0;
 
   // Total eager→lazy absorption demotions across the view's MinShips (see
-  // RuntimeOptions::eager_demote_width). Runtimes with shipping operators
-  // override; 0 means the view never crossed the width threshold.
+  // kEagerDemoteWidth). Runtimes with shipping operators override; 0 means
+  // the view never crossed the width threshold.
   virtual uint64_t CountShipDemotions() const { return 0; }
 
   // --- Namespaced transport -------------------------------------------------

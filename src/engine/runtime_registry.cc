@@ -177,12 +177,8 @@ class ReachableAdapter : public QueryRuntime {
     return Status::OK();
   }
 
-  Status ApplyUpdates() override { return RunToFixpoint(&rt_); }
-
+  RuntimeBase& native_runtime() override { return rt_; }
   std::string IncrementalView() const override { return plan_.view; }
-  void BeginViewDeltaLog(bool enabled) override {
-    rt_.SetViewDeltaLogging(enabled);
-  }
   bool DrainViewDeltas(std::vector<Tuple>* removed,
                        std::vector<Tuple>* added) override {
     // The runtime's reachable(src, dst) fixpoint tuples are the view rows.
@@ -235,12 +231,6 @@ class ReachableAdapter : public QueryRuntime {
     }
     return links;
   }
-
-  RunMetrics Metrics() const override { return rt_.Metrics(); }
-  void ResetMetrics() override { rt_.ResetMetrics(); }
-  bool converged() const override { return rt_.converged(); }
-  const RuntimeOptions& options() const override { return rt_.options(); }
-  RuntimeBase* native_runtime() override { return &rt_; }
 
  private:
   // Validates an incoming link fact. Inserts grow the node-id space for
@@ -296,12 +286,8 @@ class ShortestPathAdapter : public QueryRuntime {
     return Status::OK();
   }
 
-  Status ApplyUpdates() override { return RunToFixpoint(&rt_); }
-
+  RuntimeBase& native_runtime() override { return rt_; }
   std::string IncrementalView() const override { return plan_.view; }
-  void BeginViewDeltaLog(bool enabled) override {
-    rt_.SetViewDeltaLogging(enabled);
-  }
   bool DrainViewDeltas(std::vector<Tuple>* removed,
                        std::vector<Tuple>* added) override {
     // The view rows are the min-cost projection of the runtime's path
@@ -443,12 +429,6 @@ class ShortestPathAdapter : public QueryRuntime {
     return links;
   }
 
-  RunMetrics Metrics() const override { return rt_.Metrics(); }
-  void ResetMetrics() override { rt_.ResetMetrics(); }
-  bool converged() const override { return rt_.converged(); }
-  const RuntimeOptions& options() const override { return rt_.options(); }
-  RuntimeBase* native_runtime() override { return &rt_; }
-
  private:
   // Read path: endpoints must name existing nodes.
   Status CheckEndpoints(const std::string& relation, const Tuple& fact,
@@ -495,12 +475,8 @@ class RegionAdapter : public QueryRuntime {
     return Status::OK();
   }
 
-  Status ApplyUpdates() override { return RunToFixpoint(&rt_); }
-
+  RuntimeBase& native_runtime() override { return rt_; }
   std::string IncrementalView() const override { return plan_.view; }
-  void BeginViewDeltaLog(bool enabled) override {
-    rt_.SetViewDeltaLogging(enabled);
-  }
   bool DrainViewDeltas(std::vector<Tuple>* removed,
                        std::vector<Tuple>* added) override {
     // The runtime's activeRegion(region, sensor) fixpoint tuples are the
@@ -563,12 +539,6 @@ class RegionAdapter : public QueryRuntime {
     return triggers;
   }
 
-  RunMetrics Metrics() const override { return rt_.Metrics(); }
-  void ResetMetrics() override { rt_.ResetMetrics(); }
-  bool converged() const override { return rt_.converged(); }
-  const RuntimeOptions& options() const override { return rt_.options(); }
-  RuntimeBase* native_runtime() override { return &rt_; }
-
  private:
   Status CheckTrigger(const std::string& relation, const Tuple& fact) const {
     if (relation == plan_.edb || relation == plan_.proximity_edb) {
@@ -589,7 +559,7 @@ class RegionAdapter : public QueryRuntime {
   RegionRuntime rt_;
 };
 
-// --- Registry ---------------------------------------------------------------
+// --- Factories --------------------------------------------------------------
 
 // The node span of a graph-shaped view: at least EngineOptions::num_nodes,
 // and never smaller than the session's current topology (graph views track
@@ -750,17 +720,6 @@ StatusOr<std::unique_ptr<QueryRuntime>> MakeRegion(
       new RegionAdapter(plan, field, options, session));
 }
 
-std::map<PlanKind, RuntimeFactory>& Registry() {
-  static std::map<PlanKind, RuntimeFactory>* registry = [] {
-    auto* r = new std::map<PlanKind, RuntimeFactory>();
-    (*r)[PlanKind::kReachable] = &MakeReachable;
-    (*r)[PlanKind::kShortestPath] = &MakeShortestPath;
-    (*r)[PlanKind::kRegion] = &MakeRegion;
-    return r;
-  }();
-  return *registry;
-}
-
 }  // namespace
 
 // --- Caching layer (QueryRuntime public entry points) ------------------------
@@ -780,8 +739,10 @@ void QueryRuntime::PrepareApply() {
   patching_ = !inc.empty() && view_caches_.count(inc) > 0;
   // Delta logging is armed only while a cache exists to patch, so runs
   // without live readers (every benchmark) never pay for it.
-  if (patching_) BeginViewDeltaLog(true);
+  if (patching_) native_runtime().SetViewDeltaLogging(true);
 }
+
+Status QueryRuntime::ApplyUpdates() { return RunToFixpoint(&native_runtime()); }
 
 Status QueryRuntime::FinishApply(Status run_status) {
   if (!patching_) {
@@ -792,7 +753,8 @@ Status QueryRuntime::FinishApply(Status run_status) {
   const std::string inc = IncrementalView();
   std::vector<Tuple> removed, added;
   bool drained = run_status.ok() && DrainViewDeltas(&removed, &added);
-  BeginViewDeltaLog(false);  // Disarm only after the log is drained.
+  // Disarm only after the log is drained.
+  native_runtime().SetViewDeltaLogging(false);
   if (!drained) {
     // Aborted runs may have dropped part of the delta stream with the
     // queue; fall back to a rebuild rather than patch from a torn log.
@@ -1009,20 +971,19 @@ std::vector<Tuple> EvalAggView(const AggViewSpec& spec,
   return out;
 }
 
-void RegisterRuntimeFactory(datalog::PlanKind kind, RuntimeFactory factory) {
-  Registry()[kind] = factory;
-}
-
 StatusOr<std::unique_ptr<QueryRuntime>> InstantiateRuntime(
     const datalog::PlanSpec& plan, const EngineOptions& options,
     Session& session) {
-  auto it = Registry().find(plan.kind);
-  if (it == Registry().end()) {
-    return Status::Unimplemented(
-        std::string("no runtime registered for plan kind '") +
-        PlanKindName(plan.kind) + "'");
+  switch (plan.kind) {
+    case PlanKind::kReachable:
+      return MakeReachable(plan, options, session);
+    case PlanKind::kShortestPath:
+      return MakeShortestPath(plan, options, session);
+    case PlanKind::kRegion:
+      return MakeRegion(plan, options, session);
   }
-  return it->second(plan, options, session);
+  return Status::Unimplemented(std::string("no runtime for plan kind '") +
+                               PlanKindName(plan.kind) + "'");
 }
 
 }  // namespace recnet

@@ -39,10 +39,11 @@ struct EngineOptions {
 };
 
 // The uniform runtime interface every query shape is adapted onto: typed
-// tuples in, Status / StatusOr out. Implementations wrap one of the
+// tuples in, Status / StatusOr out. Each adapter wraps one of the
 // distributed runtimes (ReachableRuntime, ShortestPathRuntime,
-// RegionRuntime) and translate generic relation-name-keyed facts onto its
-// native ingestion calls.
+// RegionRuntime) and translates generic relation-name-keyed facts onto its
+// native ingestion calls; run bookkeeping goes straight to the wrapped
+// RuntimeBase.
 //
 // View reads are served from materialized per-view caches: the first Scan
 // of a view enumerates the runtime's partitions once (ScanView) and caches
@@ -97,17 +98,16 @@ class QueryRuntime {
   // supports it (absorption provenance only).
   virtual StatusOr<std::vector<Tuple>> Explain(const Tuple& view_tuple) const;
 
-  virtual RunMetrics Metrics() const = 0;
-  virtual void ResetMetrics() = 0;
-  virtual bool converged() const = 0;
-  virtual const RuntimeOptions& options() const = 0;
+  RunMetrics Metrics() const { return native_runtime().Metrics(); }
+  void ResetMetrics() { native_runtime().ResetMetrics(); }
+  bool converged() const { return native_runtime().converged(); }
+  const RuntimeOptions& options() const { return native_runtime().options(); }
 
   // The wrapped distributed runtime, for session-level machinery that works
   // on the common runtime interface (checkpoint/restore walks each view's
-  // RuntimeBase state). External factories may return nullptr; such views
-  // cannot be checkpointed.
-  virtual RuntimeBase* native_runtime() { return nullptr; }
-  const RuntimeBase* native_runtime() const {
+  // RuntimeBase state).
+  virtual RuntimeBase& native_runtime() = 0;
+  const RuntimeBase& native_runtime() const {
     return const_cast<QueryRuntime*>(this)->native_runtime();
   }
 
@@ -118,7 +118,6 @@ class QueryRuntime {
                             const Tuple& fact) = 0;
   virtual Status DeleteFact(const std::string& relation,
                             const Tuple& fact) = 0;
-  virtual Status ApplyUpdates() = 0;
   // Enumerates `view` from runtime state (the expensive partition sweep the
   // cache amortizes away). Adapters must return rows in sorted order (all
   // runtimes enumerate sorted today); the cache keeps that invariant under
@@ -131,9 +130,6 @@ class QueryRuntime {
   // Name of the view whose cache the adapter can patch from run deltas
   // (the recursive view); empty disables incremental maintenance.
   virtual std::string IncrementalView() const { return std::string(); }
-  // Arms / disarms the wrapped runtime's view-delta log. Called with true
-  // right before ApplyUpdates whenever IncrementalView()'s cache is live.
-  virtual void BeginViewDeltaLog(bool /*enabled*/) {}
   // Translates the armed run's delta log into exact rows removed from and
   // added to IncrementalView(). Returns false when the adapter cannot say
   // (the caching layer then falls back to full invalidation).
@@ -169,6 +165,8 @@ class QueryRuntime {
   // BEFORE the run, FinishApply (patch or invalidate) on every view after.
 
   void PrepareApply();
+  // Runs the wrapped runtime to fixpoint (the shared drain).
+  Status ApplyUpdates();
   Status FinishApply(Status run_status);
 
   struct ViewCache {
@@ -202,23 +200,14 @@ class QueryRuntime {
 std::vector<Tuple> EvalAggView(const datalog::AggViewSpec& spec,
                                const std::vector<Tuple>& view_tuples);
 
-// Instantiates the runtime registered for `plan.kind` as a co-resident view
-// of `session`: the runtime attaches to the session's substrate (shared
+// Instantiates the runtime for `plan.kind` as a co-resident view of
+// `session`: the runtime attaches to the session's substrate (shared
 // router, BDD manager, node-id space) instead of building its own.
 // InvalidArgument when `options` lacks the deployment parameters the plan
 // needs.
 StatusOr<std::unique_ptr<QueryRuntime>> InstantiateRuntime(
     const datalog::PlanSpec& plan, const EngineOptions& options,
     Session& session);
-
-// Extension point: future query shapes register a factory for their
-// PlanKind instead of forking a runtime. Factories receive the owning
-// session and must attach their runtime to its substrate. Re-registering a
-// kind replaces the builtin factory.
-using RuntimeFactory = StatusOr<std::unique_ptr<QueryRuntime>> (*)(
-    const datalog::PlanSpec& plan, const EngineOptions& options,
-    Session& session);
-void RegisterRuntimeFactory(datalog::PlanKind kind, RuntimeFactory factory);
 
 }  // namespace recnet
 

@@ -76,12 +76,8 @@ void EncodeEngineOptions(persist::Writer* w, const EngineOptions& o) {
   w->U8(static_cast<uint8_t>(o.runtime.prov));
   w->U8(static_cast<uint8_t>(o.runtime.ship));
   w->U64(o.runtime.batch_window);
-  w->I32(o.runtime.num_physical);
   w->U64(o.runtime.message_budget);
   w->F64(o.runtime.time_budget_s);
-  w->F64(o.runtime.per_msg_latency_s);
-  w->Bool(o.runtime.batch_delivery);
-  w->I32(o.runtime.shards);
   w->I32(o.num_nodes);
   w->U8(static_cast<uint8_t>(o.aggsel));
   w->Bool(o.field.has_value());
@@ -126,12 +122,8 @@ Status DecodeEngineOptions(persist::Reader* r, EngineOptions* o) {
   o->runtime.prov = static_cast<ProvMode>(prov);
   o->runtime.ship = static_cast<ShipMode>(ship);
   o->runtime.batch_window = r->U64();
-  o->runtime.num_physical = r->I32();
   o->runtime.message_budget = r->U64();
   o->runtime.time_budget_s = r->F64();
-  o->runtime.per_msg_latency_s = r->F64();
-  o->runtime.batch_delivery = r->Bool();
-  o->runtime.shards = r->I32();
   o->num_nodes = r->I32();
   uint8_t aggsel = r->U8();
   if (r->ok() && aggsel > static_cast<uint8_t>(AggSelPolicy::kNone)) {
@@ -149,17 +141,21 @@ Status DecodeEngineOptions(persist::Reader* r, EngineOptions* o) {
 }  // namespace
 
 Session::Session(const SessionOptions& options)
-    // A negative initial size is clamped: AddProgram surfaces the typed
-    // InvalidArgument (the substrate itself must exist to report it).
     : options_(options),
       injector_(options.faults.enabled()
                     ? std::make_shared<fault::FaultInjector>(options.faults)
                     : nullptr),
-      substrate_(std::make_shared<Substrate>(
-          options.num_nodes > 0 ? options.num_nodes : 0,
-          SubstrateOptions{options.num_physical, options.batch_delivery,
-                           options.shards, injector_, options.faults})) {
+      substrate_(MakeSubstrate()) {
   ArmBarrierHook();
+}
+
+std::shared_ptr<Substrate> Session::MakeSubstrate() const {
+  // A negative initial size is clamped: AddProgram surfaces the typed
+  // InvalidArgument (the substrate itself must exist to report it).
+  return std::make_shared<Substrate>(
+      options_.num_nodes > 0 ? options_.num_nodes : 0,
+      SubstrateOptions{options_.num_physical, options_.shards, injector_,
+                       options_.faults});
 }
 
 Session::~Session() = default;
@@ -427,11 +423,10 @@ Status Session::ApplyFrom(QueryRuntime* initiator) {
     }
   }
   const fault::RecoveryPolicy& recovery = options_.recovery;
-  const bool recoverable = recovery.enabled && RecoverySupported();
   // Entry micro-checkpoint: the rollback point for a fault during this
   // Apply. (Barrier-interval checkpoints, if configured, refresh it
   // mid-drain so less work re-executes.)
-  if (recoverable) CaptureMicroCheckpoint();
+  if (recovery.enabled) CaptureMicroCheckpoint();
   int attempts = 0;
   for (;;) {
     // One drain converges every co-resident view (they share the FIFO), so
@@ -439,7 +434,7 @@ Status Session::ApplyFrom(QueryRuntime* initiator) {
     // before, patch all caches after.
     for (const auto& view : views_) view->runtime_->PrepareApply();
     Status run_status = views_[initiator_idx]->runtime_->ApplyUpdates();
-    if (recoverable && run_status.code() == StatusCode::kUnavailable &&
+    if (recovery.enabled && run_status.code() == StatusCode::kUnavailable &&
         attempts < recovery.max_recoveries) {
       // An injected infrastructure fault killed the drain. The faulted
       // runtimes are replaced wholesale by the rebuild, so their armed
@@ -489,13 +484,6 @@ int Session::num_nodes() const { return substrate_->num_logical(); }
 // operator states resumes the EXACT delivery schedule of the captured run,
 // which is what makes a recovered run bit-identical to an uninterrupted one.
 
-bool Session::RecoverySupported() const {
-  for (const auto& view : views_) {
-    if (view->runtime_->native_runtime() == nullptr) return false;
-  }
-  return true;
-}
-
 void Session::ArmBarrierHook() {
   if (!options_.recovery.enabled ||
       options_.recovery.checkpoint_interval == 0) {
@@ -506,14 +494,13 @@ void Session::ArmBarrierHook() {
 }
 
 void Session::CaptureMicroCheckpoint() {
-  if (!RecoverySupported()) return;
   const Router& router = substrate_->router();
   persist::Writer body;
   persist::BddEncoder enc(substrate_->bdd_manager());
 
   body.U32(static_cast<uint32_t>(views_.size()));
   for (const auto& view : views_) {
-    body.I32(view->runtime_->native_runtime()->port_namespace());
+    body.I32(view->runtime_->native_runtime().port_namespace());
   }
   body.I32(router.num_logical());
   const std::vector<char>& dead = substrate_->dead_vars();
@@ -526,7 +513,7 @@ void Session::CaptureMicroCheckpoint() {
   body.U64(fs.delivered);
   for (const auto& view : views_) {
     body.U64(router.DeliveredByNs(
-        view->runtime_->native_runtime()->port_namespace()));
+        view->runtime_->native_runtime().port_namespace()));
   }
 
   // View states, stats, and envelopes encode into a side buffer first:
@@ -535,11 +522,11 @@ void Session::CaptureMicroCheckpoint() {
   persist::Writer side;
   persist::SnapshotWriter ssw(&side, &enc);
   for (const auto& view : views_) {
-    view->runtime_->native_runtime()->SaveState(ssw);
+    view->runtime_->native_runtime().SaveState(ssw);
   }
   for (const auto& view : views_) {
     ssw.PutStats(
-        router.stats(view->runtime_->native_runtime()->port_namespace()));
+        router.stats(view->runtime_->native_runtime().port_namespace()));
   }
   side.U64(router.pending());
   router.ForEachPendingEnvelope([&](Router::EnvelopeHome home,
@@ -579,10 +566,7 @@ Status Session::RecoverFromFault() {
   }
   // Fresh substrate, identical deployment, SAME injector: the fault clock
   // (generation counter, one-shot kill) survives the rebuild.
-  substrate_ = std::make_shared<Substrate>(
-      options_.num_nodes > 0 ? options_.num_nodes : 0,
-      SubstrateOptions{options_.num_physical, options_.batch_delivery,
-                       options_.shards, injector_, options_.faults});
+  substrate_ = MakeSubstrate();
   // Re-instantiate every view's runtime on the new substrate, in residency
   // order so view i claims namespace i. Each replacement destroys the old
   // runtime (detaching it from the dead substrate, which is freed with its
@@ -598,11 +582,7 @@ Status Session::RecoverFromFault() {
                         view->plan_.view + "': " + rebuilt.status().message());
     }
     view->runtime_ = std::move(rebuilt).value();
-    if (view->runtime_->native_runtime() == nullptr) {
-      return Status::Internal("recovered view '" + view->plan_.view +
-                              "' lost its native runtime");
-    }
-    new_ns[i] = view->runtime_->native_runtime()->port_namespace();
+    new_ns[i] = view->runtime_->native_runtime().port_namespace();
   }
 
   persist::Reader raw(micro_ckpt_);
@@ -643,7 +623,7 @@ Status Session::RecoverFromFault() {
   persist::SnapshotReader sr(&raw, &dec);
   RECNET_RETURN_IF_ERROR(dec.ReadNodeTable(&raw));
   for (const auto& view : views_) {
-    RECNET_RETURN_IF_ERROR(view->runtime_->native_runtime()->LoadState(sr));
+    RECNET_RETURN_IF_ERROR(view->runtime_->native_runtime().LoadState(sr));
   }
   Router& router = substrate_->router();
   for (uint32_t i = 0; i < nviews; ++i) {
@@ -742,18 +722,9 @@ Status Session::Checkpoint(const std::string& path) const {
         "cannot checkpoint with " + std::to_string(router.pending()) +
         " undelivered message(s); call Apply() to reach fixpoint first");
   }
-  for (const auto& view : views_) {
-    if (view->runtime_->native_runtime() == nullptr) {
-      return Status::Unimplemented(
-          "view '" + view->plan_.view +
-          "' wraps an external runtime without snapshot support");
-    }
-  }
-
   persist::SnapshotSummary summary;
   summary.num_nodes = router.num_logical();
   summary.num_physical = router.num_physical();
-  summary.batch_delivery = router.batching();
   summary.shards = router.num_shards();
   {
     std::vector<std::string> names;
@@ -777,7 +748,7 @@ Status Session::Checkpoint(const std::string& path) const {
     vi.name = view->plan_.view;
     vi.prov_mode = ProvModeName(view->runtime_->options().prov);
     vi.messages =
-        router.stats(view->runtime_->native_runtime()->port_namespace())
+        router.stats(view->runtime_->native_runtime().port_namespace())
             .messages;
     summary.views.push_back(std::move(vi));
   }
@@ -823,7 +794,7 @@ Status Session::Checkpoint(const std::string& path) const {
   persist::Writer views_buf;
   persist::SnapshotWriter views_sw(&views_buf, &enc);
   for (const auto& view : views_) {
-    view->runtime_->native_runtime()->SaveState(views_sw);
+    view->runtime_->native_runtime().SaveState(views_sw);
   }
   body.PatchU32(bdd_patch, static_cast<uint32_t>(enc.num_nodes()));
   enc.WriteNodeTable(&body);
@@ -832,7 +803,7 @@ Status Session::Checkpoint(const std::string& path) const {
   // Per-view network counters.
   for (const auto& view : views_) {
     sw.PutStats(
-        router.stats(view->runtime_->native_runtime()->port_namespace()));
+        router.stats(view->runtime_->native_runtime().port_namespace()));
   }
 
   // Injected snapshot tear: the write stops short inside the `.tmp` and the
@@ -854,19 +825,16 @@ Status Session::Restore(const std::string& path) {
         "or pending messages)");
   }
   std::vector<uint8_t> payload;
-  persist::SnapshotHeader header;
-  RECNET_RETURN_IF_ERROR(persist::ReadSnapshotPayload(path, &payload, &header));
+  RECNET_RETURN_IF_ERROR(persist::ReadSnapshotPayload(path, &payload));
   persist::Reader raw(payload);
   persist::SnapshotSummary summary;
   RECNET_RETURN_IF_ERROR(persist::ReadSummary(&raw, &summary));
 
   const Router& router = substrate_->router();
-  if (summary.num_physical != router.num_physical() ||
-      summary.batch_delivery != router.batching()) {
+  if (summary.num_physical != router.num_physical()) {
     return Status::InvalidArgument(
         "snapshot deployment (num_physical=" +
-        std::to_string(summary.num_physical) + ", batch_delivery=" +
-        (summary.batch_delivery ? "true" : "false") +
+        std::to_string(summary.num_physical) +
         ") does not match this session's; the shard count alone may differ");
   }
   if (summary.num_nodes < router.num_logical()) {
@@ -877,9 +845,7 @@ Status Session::Restore(const std::string& path) {
         std::to_string(summary.num_nodes) + ")");
   }
 
-  // The decoder speaks the on-disk version: a pre-complement-edge (v2)
-  // node table decodes into canonical tagged refs via the restore path.
-  persist::BddDecoder dec(substrate_->bdd_manager(), header.version);
+  persist::BddDecoder dec(substrate_->bdd_manager());
   persist::SnapshotReader sr(&raw, &dec);
 
   // Clock.
@@ -937,11 +903,6 @@ Status Session::Restore(const std::string& path) {
       return Status(added.status().code(),
                     "restoring program: " + added.status().message());
     }
-    if (added.value()->runtime_->native_runtime() == nullptr) {
-      return Status::Unimplemented(
-          "restored view '" + added.value()->plan_.view +
-          "' wraps an external runtime without snapshot support");
-    }
   }
   for (size_t i = 0; i < views_.size(); ++i) {
     if (views_[i]->plan_.view != summary.views[i].name) {
@@ -955,12 +916,12 @@ Status Session::Restore(const std::string& path) {
   RECNET_RETURN_IF_ERROR(dec.ReadNodeTable(&raw));
   for (const auto& view : views_) {
     RECNET_RETURN_IF_ERROR(
-        view->runtime_->native_runtime()->LoadState(sr));
+        view->runtime_->native_runtime().LoadState(sr));
   }
   for (const auto& view : views_) {
     NetworkStats stats = sr.GetStats();
     substrate_->router().LoadStats(
-        view->runtime_->native_runtime()->port_namespace(), stats);
+        view->runtime_->native_runtime().port_namespace(), stats);
   }
   RECNET_RETURN_IF_ERROR(sr.Check("snapshot"));
   if (raw.remaining() != 0) {

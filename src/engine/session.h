@@ -26,10 +26,8 @@ struct SessionOptions {
   // Initial logical topology. The node-id space is dynamic — late facts and
   // AddNode() grow it — so 0 (start empty) is valid.
   int num_nodes = 0;
-  // Physical peers the logical nodes are mapped onto.
+  // Physical peers the logical nodes are mapped onto (paper default: 12).
   int num_physical = 12;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  bool batch_delivery = true;
   // Router shards the simulated network is partitioned across (see
   // SubstrateOptions::shards): node n resides on shard n % shards, so nodes
   // added later (AddNode / late facts) land on their shard without
@@ -118,16 +116,15 @@ class Session {
   // one pass such that the subsequent Apply/Scan/counter trajectory is
   // bit-identical to a session that never stopped, for any shard count.
 
-  // Preconditions: the router queue must be drained (call Apply() first;
-  // FailedPrecondition otherwise) and every view must expose its native
-  // runtime (Unimplemented for external-factory views).
+  // Precondition: the router queue must be drained (call Apply() first;
+  // FailedPrecondition otherwise).
   Status Checkpoint(const std::string& path) const;
 
   // Restores into a freshly constructed session whose SessionOptions match
-  // the snapshot's num_physical / batch_delivery (the shard count may
-  // differ: delivery is shard-count invariant). FailedPrecondition when the
-  // session already holds views or facts; InvalidArgument on a deployment
-  // mismatch or version skew; DataLoss on corruption.
+  // the snapshot's num_physical (the shard count may differ: delivery is
+  // shard-count invariant). FailedPrecondition when the session already
+  // holds views or facts; InvalidArgument on a deployment mismatch or
+  // version skew; DataLoss on corruption.
   Status Restore(const std::string& path);
 
   // --- Shared fact ingestion, keyed by relation name ------------------------
@@ -214,9 +211,9 @@ class Session {
 
   // --- Fault recovery -------------------------------------------------------
 
-  // True when every resident view exposes its native runtime (external
-  // factories cannot be re-instantiated from a micro-checkpoint).
-  bool RecoverySupported() const;
+  // A fresh substrate for this session's deployment (constructor and
+  // recovery rebuilds), sharing the session's fault injector.
+  std::shared_ptr<Substrate> MakeSubstrate() const;
   // (Re-)installs the micro-checkpoint barrier hook on the current
   // substrate, per SessionOptions::recovery.checkpoint_interval.
   void ArmBarrierHook();

@@ -49,24 +49,13 @@ const char* AggSelPolicyName(AggSelPolicy policy) {
   return "?";
 }
 
-ShortestPathRuntime::ShortestPathRuntime(int num_nodes,
-                                         const RuntimeOptions& options,
-                                         AggSelPolicy policy)
-    : RuntimeBase(num_nodes, options), policy_(policy) {
-  // The shortest-path family runs under absorption provenance (the paper's
-  // Figure 14 evaluates aggregate selection with the main scheme only).
-  RECNET_CHECK(opts_.prov == ProvMode::kAbsorption);
-  nodes_.resize(static_cast<size_t>(num_nodes));
-  for (int n = 0; n < num_nodes; ++n) {
-    InitNode(n, static_cast<size_t>(num_nodes));
-  }
-}
-
 ShortestPathRuntime::ShortestPathRuntime(std::shared_ptr<Substrate> substrate,
                                          int num_nodes,
                                          const RuntimeOptions& options,
                                          AggSelPolicy policy)
     : RuntimeBase(std::move(substrate), num_nodes, options), policy_(policy) {
+  // The shortest-path family runs under absorption provenance (the paper's
+  // Figure 14 evaluates aggregate selection with the main scheme only).
   RECNET_CHECK(opts_.prov == ProvMode::kAbsorption);
   nodes_.resize(static_cast<size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
@@ -89,8 +78,7 @@ void ShortestPathRuntime::InitNode(int n, size_t expected_nodes) {
       [this, n](const Tuple& tuple, const Prov& pv) {
         LogicalNode dest = static_cast<LogicalNode>(tuple.IntAt(kSrc));
         ShipInsert(n, dest, kPortFix, tuple, pv);
-      },
-      opts_.eager_demote_width);
+      });
   state.ship->Reserve(expected_nodes);
   if (policy_ != AggSelPolicy::kNone) {
     state.agg_fix = std::make_unique<AggSel>(
@@ -307,18 +295,13 @@ void ShortestPathRuntime::HandleBatch(const Envelope* envs, size_t n) {
   }
 }
 
-void ShortestPathRuntime::HandleEnvelope(const Envelope& env) {
-  HandleBatch(&env, 1);
-}
-
 bool ShortestPathRuntime::AfterQuiescent() {
   // Demoted MinShips compact their buffers against the shipped state now
   // that the insert storm has drained (no traffic is generated).
-  bool reabsorbed = false;
   for (LogicalNode n = 0; n < num_logical(); ++n) {
-    if (node(n).ship->FlushIfDemoted()) reabsorbed = true;
+    node(n).ship->FlushIfDemoted();
   }
-  return reabsorbed;
+  return false;
 }
 
 uint64_t ShortestPathRuntime::CountShipDemotions() const {

@@ -37,9 +37,6 @@ const char* AggSelPolicyName(AggSelPolicy policy);
 // are suppressed before they are stored or shipped.
 class ShortestPathRuntime : public RuntimeBase {
  public:
-  ShortestPathRuntime(int num_nodes, const RuntimeOptions& options,
-                      AggSelPolicy policy);
-  // Co-resident construction: one view on a shared session substrate.
   ShortestPathRuntime(std::shared_ptr<Substrate> substrate, int num_nodes,
                       const RuntimeOptions& options, AggSelPolicy policy);
 
@@ -95,9 +92,8 @@ class ShortestPathRuntime : public RuntimeBase {
   // Vectorized delivery: one (dst, port) switch and node-state lookup per
   // run, with the operator applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  void HandleEnvelope(const Envelope& env) override;
   // Re-absorbs demoted MinShips at quiescence (the eager→lazy demotion
-  // policy; see RuntimeOptions::eager_demote_width).
+  // policy; see kEagerDemoteWidth).
   bool AfterQuiescent() override;
   uint64_t CountShipDemotions() const override;
   // Dynamic node-id space: extends the per-node operator state when the

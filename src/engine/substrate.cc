@@ -20,7 +20,6 @@ Substrate::Substrate(int num_nodes, const SubstrateOptions& options)
               std::max(1, options.shards)) {
   router_.set_batch_handler(
       [this](const Envelope* envs, size_t n) { Dispatch(envs, n); });
-  router_.set_batching(options.batch_delivery);
   injector_ = options.injector;
   if (injector_ == nullptr && options.faults.enabled()) {
     injector_ = std::make_shared<fault::FaultInjector>(options.faults);

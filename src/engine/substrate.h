@@ -23,8 +23,6 @@ class RuntimeBase;
 struct SubstrateOptions {
   // Physical peers the logical nodes are mapped onto (paper default: 12).
   int num_physical = 12;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  bool batch_delivery = true;
   // Router shards the logical node-id space is partitioned across. With
   // more than one shard the drain becomes a superstep loop whose shards
   // run on parallel worker threads (every provenance mode, relative
@@ -47,10 +45,8 @@ struct SubstrateOptions {
 // namespace so its messages interleave with the others' on the one network
 // without collisions, and each keeps its own NetworkStats.
 //
-// A standalone runtime (the pre-session construction path used by tests and
-// benchmarks) owns a private Substrate with exactly one attached view,
-// which makes its behavior — message for message and counter for counter —
-// identical to the historical one-router-per-runtime design.
+// A runtime built outside a Session (tests and benchmarks) is simply the
+// only view attached to its own Substrate.
 class Substrate {
  public:
   Substrate(int num_nodes, const SubstrateOptions& options);

@@ -14,8 +14,6 @@ Status RunToFixpoint(RuntimeBase* rt) {
 }  // namespace
 
 Status ReachabilityView::Apply() { return RunToFixpoint(&rt_); }
-Status ShortestPathView::Apply() { return RunToFixpoint(&rt_); }
-Status RegionView::Apply() { return RunToFixpoint(&rt_); }
 
 void SoftStateReachabilityView::InsertLink(int src, int dst, double ttl) {
   Tuple link = Tuple::OfInts({src, dst});

@@ -4,15 +4,12 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/reachable_runtime.h"
-#include "engine/region_runtime.h"
-#include "engine/shortest_path_runtime.h"
 #include "engine/soft_state.h"
-#include "topology/sensor_grid.h"
 
 namespace recnet {
 
@@ -25,7 +22,10 @@ namespace recnet {
 // Each view wraps a distributed runtime (simulated network of per-partition
 // query processors). The pattern is:
 //
-//   recnet::ReachabilityView view(num_nodes, options);
+//   recnet::ReachabilityView view(
+//       std::make_shared<recnet::Substrate>(num_nodes,
+//                                           recnet::SubstrateOptions{}),
+//       num_nodes, options);
 //   view.InsertLink(a, b);
 //   ...
 //   RECNET_CHECK(view.Apply().ok());     // run to fixpoint
@@ -40,8 +40,9 @@ namespace recnet {
 // Network reachability (paper Query 1).
 class ReachabilityView {
  public:
-  ReachabilityView(int num_nodes, const RuntimeOptions& options)
-      : rt_(num_nodes, options) {}
+  ReachabilityView(std::shared_ptr<Substrate> substrate, int num_nodes,
+                   const RuntimeOptions& options)
+      : rt_(std::move(substrate), num_nodes, options) {}
 
   void InsertLink(int src, int dst) { rt_.InsertLink(src, dst); }
   void DeleteLink(int src, int dst) { rt_.DeleteLink(src, dst); }
@@ -68,73 +69,14 @@ class ReachabilityView {
   ReachableRuntime rt_;
 };
 
-// Shortest / cheapest paths (paper Query 2).
-class ShortestPathView {
- public:
-  ShortestPathView(int num_nodes, const RuntimeOptions& options,
-                   AggSelPolicy policy = AggSelPolicy::kMulti)
-      : rt_(num_nodes, options, policy) {}
-
-  void InsertLink(int src, int dst, double cost) {
-    rt_.InsertLink(src, dst, cost);
-  }
-  void DeleteLink(int src, int dst) { rt_.DeleteLink(src, dst); }
-  Status Apply();
-
-  std::optional<double> MinCost(int src, int dst) const {
-    return rt_.MinCost(src, dst);
-  }
-  std::optional<int64_t> MinHops(int src, int dst) const {
-    return rt_.MinHops(src, dst);
-  }
-  std::optional<std::string> CheapestPath(int src, int dst) const {
-    return rt_.CheapestPathVec(src, dst);
-  }
-  std::optional<std::string> FewestHops(int src, int dst) const {
-    return rt_.FewestHopsVec(src, dst);
-  }
-
-  RunMetrics Metrics() const { return rt_.Metrics(); }
-  ShortestPathRuntime& runtime() { return rt_; }
-
- private:
-  ShortestPathRuntime rt_;
-};
-
-// Contiguous triggered regions with size aggregates (paper Query 3).
-class RegionView {
- public:
-  RegionView(const SensorField& field, const RuntimeOptions& options)
-      : rt_(field, options) {}
-
-  void Trigger(int sensor) { rt_.Trigger(sensor); }
-  void Untrigger(int sensor) { rt_.Untrigger(sensor); }
-  Status Apply();
-
-  bool InRegion(int region, int sensor) const {
-    return rt_.InRegion(region, sensor);
-  }
-  std::set<int> RegionMembers(int region) const {
-    return rt_.RegionMembers(region);
-  }
-  int64_t RegionSize(int region) const { return rt_.RegionSize(region); }
-  int64_t LargestRegionSize() const { return rt_.LargestRegionSize(); }
-  std::vector<int> LargestRegions() const { return rt_.LargestRegions(); }
-
-  RunMetrics Metrics() const { return rt_.Metrics(); }
-  RegionRuntime& runtime() { return rt_; }
-
- private:
-  RegionRuntime rt_;
-};
-
 // Reachability over soft-state links (paper §3.1): every link carries a
 // time-to-live; AdvanceTime() expires overdue links, processing each expiry
 // as an ordinary incremental deletion. Re-inserting a live link renews it.
 class SoftStateReachabilityView {
  public:
-  SoftStateReachabilityView(int num_nodes, const RuntimeOptions& options)
-      : rt_(num_nodes, options) {}
+  SoftStateReachabilityView(std::shared_ptr<Substrate> substrate,
+                            int num_nodes, const RuntimeOptions& options)
+      : rt_(std::move(substrate), num_nodes, options) {}
 
   // Inserts link(src, dst) expiring `ttl` time units from now (renewal if
   // the link is already alive).

@@ -351,12 +351,8 @@ void Router::DeliverRun(RouterShard& shard, size_t start, size_t end) {
   ++shard.stats[run_ns].batches;
   // Handlers may Send during dispatch; those enqueue into mailboxes, so the
   // run we are pointing into cannot move under us.
-  if (batch_handler_ != nullptr) {
-    batch_handler_(&shard.queue[start], n);
-  } else {
-    RECNET_CHECK(handler_ != nullptr);
-    for (size_t i = start; i < end; ++i) handler_(shard.queue[i]);
-  }
+  RECNET_CHECK(batch_handler_ != nullptr);
+  batch_handler_(&shard.queue[start], n);
   // Scavenge delivered kill-list buffers into the shard's pool: the
   // envelopes are dead weight until the next barrier clears the queue, and
   // recycling them lets steady-state kill routing allocate nothing.
@@ -373,7 +369,6 @@ void Router::DeliverRun(RouterShard& shard, size_t start, size_t end) {
 size_t Router::RunEnd(const RouterShard& shard, size_t start,
                       uint64_t cutoff) const {
   size_t end = start + 1;
-  if (!batching_) return end;
   const Envelope& first = shard.queue[start];
   while (end < shard.queue.size()) {
     const Envelope& e = shard.queue[end];
@@ -540,16 +535,14 @@ size_t Router::StepBatch(size_t max_n) {
   if (shard.head >= shard.queue.size()) return 0;
   size_t start = shard.head;
   size_t end = start + 1;
-  if (batching_) {
-    // Queue adjacency and consecutive sequence numbers coincide on a single
-    // shard; clip the run at max_n exactly like the classic router.
-    LogicalNode dst = shard.queue[start].dst;
-    int port = shard.queue[start].port;
-    size_t limit = std::min(shard.queue.size(), start + max_n);
-    while (end < limit && shard.queue[end].dst == dst &&
-           shard.queue[end].port == port) {
-      ++end;
-    }
+  // Queue adjacency and consecutive sequence numbers coincide on a single
+  // shard; clip the run at max_n exactly like the classic router.
+  LogicalNode dst = shard.queue[start].dst;
+  int port = shard.queue[start].port;
+  size_t limit = std::min(shard.queue.size(), start + max_n);
+  while (end < limit && shard.queue[end].dst == dst &&
+         shard.queue[end].port == port) {
+    ++end;
   }
   draining_ = true;
   DeliverRun(shard, start, end);

@@ -49,9 +49,8 @@ class FaultInjector;
 // same (dst, port) are handed to the batch handler as one contiguous run,
 // amortizing handler dispatch and letting runtimes hoist per-destination
 // state lookups (every envelope of a run hits the same operator input).
-// Batching never reorders messages, so runs are delivery-for-delivery
-// identical to unbatched execution and every NetworkStats counter except
-// `batches` matches exactly (wire accounting happens at Send time).
+// Batching never reorders messages: every node sees its messages in FIFO
+// order, and wire accounting happens at Send time.
 //
 // Port namespaces: several co-resident runtimes (the views of one
 // recnet::Session) can share a router by operating in disjoint port ranges
@@ -64,7 +63,6 @@ class FaultInjector;
 // single-runtime use is unchanged.
 class Router {
  public:
-  using Handler = std::function<void(const Envelope&)>;
   // Receives contiguous same-(dst, port) runs.
   using BatchHandler = std::function<void(const Envelope* envs, size_t n)>;
 
@@ -88,17 +86,11 @@ class Router {
   // rebalances existing nodes).
   void GrowLogical(int num_logical);
 
-  // Per-envelope handler. Used as a fallback when no batch handler is set
-  // (each envelope of a batch is dispatched individually).
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-  // Batch-aware handler: receives contiguous same-(dst, port) runs.
+  // The delivery handler (required before the first drain): receives
+  // contiguous same-(dst, port) runs.
   void set_batch_handler(BatchHandler handler) {
     batch_handler_ = std::move(handler);
   }
-  // Disables run coalescing (batches of size 1). The engine exposes this
-  // via RuntimeOptions::batch_delivery for A/B runs; results and traffic
-  // counters are identical either way.
-  void set_batching(bool enabled) { batching_ = enabled; }
 
   int num_logical() const { return num_logical_; }
   int num_physical() const { return num_physical_; }
@@ -245,8 +237,6 @@ class Router {
   // the deliveries it received since.
   uint64_t DeliveredByNs(int ns) const;
 
-  bool batching() const { return batching_; }
-
   // Merged per-namespace traffic view: the element-wise sum of every
   // shard's NetworkStats for `ns` (a single-shard router's counters pass
   // through unchanged). Returns a snapshot by value.
@@ -346,9 +336,7 @@ class Router {
   int num_logical_;
   int num_physical_;
   int num_namespaces_ = 1;
-  Handler handler_;
   BatchHandler batch_handler_;
-  bool batching_ = true;
   std::vector<RouterShard> shards_;
   // Global delivery sequence numbers start at 1 so the pre-run external
   // context (trig 0) orders before every handler send.

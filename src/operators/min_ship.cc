@@ -15,12 +15,11 @@ const char* ShipModeName(ShipMode mode) {
 }
 
 MinShip::MinShip(ProvMode prov_mode, ShipMode ship_mode, size_t batch_window,
-                 SendFn send, size_t demote_width)
+                 SendFn send)
     : prov_mode_(prov_mode),
       ship_mode_(ship_mode),
       batch_window_(batch_window),
-      send_(std::move(send)),
-      demote_width_(demote_width) {
+      send_(std::move(send)) {
   RECNET_CHECK(send_ != nullptr);
 }
 
@@ -60,8 +59,8 @@ void MinShip::ProcessInsert(const Tuple& tuple, const Prov& pv) {
       // buffered) is wider than the ceiling, eager re-shipping of it each
       // batch window costs more Or-churn than its freshness is worth.
       // Drop to lazy until quiescence (FlushIfDemoted re-arms).
-      if (ship_mode_ == ShipMode::kEager && demote_width_ > 0 && !demoted_ &&
-          AnnotationWidth(merged) > demote_width_) {
+      if (ship_mode_ == ShipMode::kEager && !demoted_ &&
+          AnnotationWidth(merged) > kEagerDemoteWidth) {
         demoted_ = true;
         ++demotions_;
       }
@@ -112,8 +111,8 @@ void MinShip::ProcessDelete(const Tuple& tuple) {
   pins_.erase(tuple);
 }
 
-bool MinShip::FlushIfDemoted() {
-  if (!demoted_ || pins_.empty()) return false;
+void MinShip::FlushIfDemoted() {
+  if (!demoted_ || pins_.empty()) return;
   // Quiescence: the insert storm that tripped the ceiling has drained.
   // Re-absorb the buffer against what was shipped — pins whose merged
   // annotation no longer adds anything over Bsent are dropped — but ship
@@ -131,7 +130,6 @@ bool MinShip::FlushIfDemoted() {
       ++it;
     }
   }
-  return false;
 }
 
 void MinShip::Flush() {

@@ -34,6 +34,14 @@ enum class ShipMode {
 
 const char* ShipModeName(ShipMode mode);
 
+// Adaptive eager→lazy demotion ceiling: live BDD nodes of one tuple's
+// merged absorption annotation (see MinShip). Calibrated on the fig07
+// sweep: every converging eager cell's merged annotations stay under 384
+// nodes (zero demotions ⇒ traffic bit-identical to the undemoted engine),
+// while the one cell that blew the 45 s budget (Absorption-Eager x=1)
+// crosses it within the first storms and converges in ~11 s demoted.
+inline constexpr size_t kEagerDemoteWidth = 512;
+
 // The MinShip operator (paper Algorithm 3).
 //
 // Always forwards the first derivation of each tuple; subsequent derivations
@@ -47,8 +55,8 @@ const char* ShipModeName(ShipMode mode);
 // re-shipping (and re-absorbing downstream) every buffered derivation each
 // batch window — on dense fan-in that Or-churn is quadratic in annotation
 // width and is exactly what blows the budget on the paper's hardest cell.
-// When `demote_width` > 0 and an absorption annotation this operator merges
-// grows past that many live BDD nodes, the operator demotes itself for the
+// When an absorption annotation this operator merges grows past
+// kEagerDemoteWidth live BDD nodes, the operator demotes itself for the
 // rest of the run: the periodic batch-window Flush stops and the buffer
 // gets exactly lazy's treatment — alternates ship only when a kill
 // promotes them — while FlushIfDemoted() re-absorbs the buffer against
@@ -64,7 +72,7 @@ class MinShip {
   using SendFn = std::function<void(const Tuple&, const Prov&)>;
 
   MinShip(ProvMode prov_mode, ShipMode ship_mode, size_t batch_window,
-          SendFn send, size_t demote_width = 0);
+          SendFn send);
 
   // Pre-sizes the shipped/buffered tables for an expected tuple count.
   void Reserve(size_t expected_tuples) {
@@ -89,9 +97,9 @@ class MinShip {
 
   // Quiescence hook for the demotion policy: if this operator is demoted,
   // re-absorb the buffer against the shipped state (dropping pins that no
-  // longer add anything) without shipping. Always returns false — the
-  // compaction generates no traffic, so it never extends the drain.
-  bool FlushIfDemoted();
+  // longer add anything) without shipping. The compaction generates no
+  // traffic, so it never extends the drain.
+  void FlushIfDemoted();
 
   bool demoted() const { return demoted_; }
   // Times this operator demoted eager→lazy (observability; surfaces as the
@@ -115,8 +123,6 @@ class MinShip {
   ShipMode ship_mode_;
   size_t batch_window_;
   SendFn send_;
-  // Annotation-width ceiling for eager mode (live BDD nodes; 0 disables).
-  size_t demote_width_;
   size_t since_flush_ = 0;
   bool demoted_ = false;
   uint64_t demotions_ = 0;

@@ -101,10 +101,8 @@ void MinShip::SaveState(persist::SnapshotWriter& w) const {
 Status MinShip::LoadState(persist::SnapshotReader& r) {
   RECNET_CHECK(bsent_.empty() && pins_.empty());
   since_flush_ = static_cast<size_t>(r.raw().U64());
-  if (r.version() >= 3) {
-    demoted_ = r.raw().Bool();
-    demotions_ = r.raw().U64();
-  }
+  demoted_ = r.raw().Bool();
+  demotions_ = r.raw().U64();
   uint64_t nsent = r.raw().Count(3);
   bsent_.reserve(nsent);
   for (uint64_t i = 0; i < nsent && r.raw().ok(); ++i) {

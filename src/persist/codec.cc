@@ -8,16 +8,12 @@ namespace persist {
 
 namespace {
 
-// Version-3 remapped-ref space mirrors the in-memory tagging: a ref is
+// The remapped-ref space mirrors the in-memory tagging: a ref is
 // (node id << 1) | complement, node id 0 is the single TRUE terminal, and
 // internal node ids are table position + 1. So kTrue encodes to 0 and
 // kFalse to 1, just like the live constants.
 constexpr uint32_t kIdTerminalNode = 0;
-constexpr uint32_t kIdBiasV3 = 1;
-// Version-2 space: plain node ids, two terminal ids, bias 2.
-constexpr uint32_t kIdFalseV2 = 0;
-constexpr uint32_t kIdTrueV2 = 1;
-constexpr uint32_t kIdBiasV2 = 2;
+constexpr uint32_t kIdBias = 1;
 
 }  // namespace
 
@@ -47,7 +43,7 @@ uint32_t BddEncoder::Encode(bdd::BddRef root) {
     if (n == kIdTerminalNode || id_of_.find(n) != id_of_.end()) continue;
     const bdd::BddRef ref = n << 1;  // Regular ref for this node.
     if (expanded) {
-      uint32_t id = static_cast<uint32_t>(nodes_.size()) + kIdBiasV3;
+      uint32_t id = static_cast<uint32_t>(nodes_.size()) + kIdBias;
       nodes_.push_back(EncodedNode{mgr_->var_of(ref),
                                    mapped(mgr_->low_of(ref)),
                                    mapped(mgr_->high_of(ref))});
@@ -75,7 +71,6 @@ Status BddDecoder::ReadNodeTable(Reader* r) {
   if (!r->CanRead(static_cast<size_t>(count) * 12)) {
     return r->Check("bdd node table");
   }
-  const bool v3 = version_ >= 3;
   index_of_.reserve(count);
   protect_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -83,19 +78,15 @@ Status BddDecoder::ReadNodeTable(Reader* r) {
     uint32_t low = r->U32();
     uint32_t high = r->U32();
     // Children must precede their parent, and the variable must be a real
-    // one (the terminal marker would trip the manager's invariants). In the
-    // v3 space a child's node id is its ref shifted right by one.
-    const bool dangling = v3 ? ((low >> 1) > i || (high >> 1) > i)
-                             : (low >= i + kIdBiasV2 || high >= i + kIdBiasV2);
+    // one (the terminal marker would trip the manager's invariants). A
+    // child's node id is its ref shifted right by one.
+    const bool dangling = (low >> 1) > i || (high >> 1) > i;
     if (dangling || var == ~uint32_t{0}) {
       r->Invalidate();
       break;
     }
     bdd::BddRef lo = Resolve(low, r);
     bdd::BddRef hi = Resolve(high, r);
-    // MakeNodeForRestore re-derives the canonical polarity, so both a v3
-    // table (already canonical) and a v2 table (plain nodes; e.g. its
-    // explicit ¬f subgraphs) intern to canonical tagged refs.
     bdd::BddRef ref = mgr_->MakeNodeForRestore(var, lo, hi);
     index_of_.push_back(ref);
     protect_.emplace_back(mgr_, ref);
@@ -104,25 +95,15 @@ Status BddDecoder::ReadNodeTable(Reader* r) {
 }
 
 bdd::BddRef BddDecoder::Resolve(uint32_t id, Reader* r) const {
-  if (version_ >= 3) {
-    const uint32_t node = id >> 1;
-    const uint32_t c = id & 1u;
-    if (node == kIdTerminalNode) return c == 0 ? bdd::kTrue : bdd::kFalse;
-    size_t slot = node - kIdBiasV3;
-    if (slot >= index_of_.size()) {
-      r->Invalidate();
-      return bdd::kFalse;
-    }
-    return index_of_[slot] ^ c;
-  }
-  if (id == kIdFalseV2) return bdd::kFalse;
-  if (id == kIdTrueV2) return bdd::kTrue;
-  size_t slot = id - kIdBiasV2;
+  const uint32_t node = id >> 1;
+  const uint32_t c = id & 1u;
+  if (node == kIdTerminalNode) return c == 0 ? bdd::kTrue : bdd::kFalse;
+  size_t slot = node - kIdBias;
   if (slot >= index_of_.size()) {
     r->Invalidate();
     return bdd::kFalse;
   }
-  return index_of_[slot];
+  return index_of_[slot] ^ c;
 }
 
 void SnapshotWriter::PutValue(const Value& v) {

@@ -19,9 +19,8 @@ namespace persist {
 // through one encoder contributes its reachable internal nodes exactly once,
 // children before parents, with manager-independent remapped refs mirroring
 // the in-memory tagging — (remapped node id << 1) | complement bit, node
-// id 0 the single TRUE terminal, internal node i = table position i + 1
-// (snapshot format version 3; version 2 stored plain node ids with two
-// terminal ids). The table is emitted separately from the sections
+// id 0 the single TRUE terminal, internal node i = table position i + 1.
+// The table is emitted separately from the sections
 // referencing the roots, so a snapshot stores the manager's live graph once
 // no matter how many annotations share it — the on-disk analogue of
 // hash-consing.
@@ -58,16 +57,9 @@ class BddEncoder {
 // reference on every interned node until the decoder is destroyed (fresh
 // nodes start unreferenced, and restore runs long enough that a GC could
 // otherwise reclaim a node before the annotation referencing it is built).
-//
-// `version` is the snapshot format version of the payload being decoded
-// (defaults to the current writer version, which in-memory micro-checkpoint
-// payloads always are). Version 2 tables — plain node ids, separate FALSE
-// and TRUE ids — decode through MakeNodeForRestore, whose canonical-polarity
-// normalization converts them to tagged refs on the fly.
 class BddDecoder {
  public:
-  explicit BddDecoder(bdd::Manager* mgr, uint32_t version = kSnapshotVersion)
-      : mgr_(mgr), version_(version) {}
+  explicit BddDecoder(bdd::Manager* mgr) : mgr_(mgr) {}
 
   Status ReadNodeTable(Reader* r);
 
@@ -76,11 +68,9 @@ class BddDecoder {
   bdd::BddRef Resolve(uint32_t id, Reader* r) const;
 
   bdd::Manager* manager() const { return mgr_; }
-  uint32_t version() const { return version_; }
 
  private:
   bdd::Manager* mgr_;
-  uint32_t version_;
   // Live (possibly complemented) refs by table position.
   std::vector<bdd::BddRef> index_of_;
   std::vector<bdd::Bdd> protect_;
@@ -112,9 +102,6 @@ class SnapshotReader {
 
   Reader& raw() { return *in_; }
   Status Check(const char* what) const { return in_->Check(what); }
-  // Snapshot format version of the payload being decoded (operators with
-  // version-dependent state layouts branch on this).
-  uint32_t version() const { return bdds_->version(); }
 
   Value GetValue();
   Tuple GetTuple();

@@ -6,7 +6,6 @@ namespace persist {
 size_t WriteSummary(Writer* w, const SnapshotSummary& s) {
   w->I32(s.num_nodes);
   w->I32(s.num_physical);
-  w->Bool(s.batch_delivery);
   w->I32(s.shards);
   size_t bdd_nodes_pos = w->Tell();
   w->U32(s.bdd_nodes);  // Placeholder; patched once annotations are interned.
@@ -29,7 +28,6 @@ size_t WriteSummary(Writer* w, const SnapshotSummary& s) {
 Status ReadSummary(Reader* r, SnapshotSummary* out) {
   out->num_nodes = r->I32();
   out->num_physical = r->I32();
-  out->batch_delivery = r->Bool();
   out->shards = r->I32();
   out->bdd_nodes = r->U32();
   uint32_t nrel = r->U32();

@@ -29,7 +29,6 @@ struct SnapshotViewInfo {
 struct SnapshotSummary {
   int32_t num_nodes = 0;      // Logical node-id space at checkpoint.
   int32_t num_physical = 0;   // Effective physical peer pool.
-  bool batch_delivery = true;
   int32_t shards = 1;         // Shard count of the checkpointing session.
   uint32_t bdd_nodes = 0;     // Serialized BDD unique-table size.
   std::vector<SnapshotRelationInfo> relations;

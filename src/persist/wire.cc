@@ -41,11 +41,10 @@ Status ValidatePrefix(Reader& r, const std::string& path,
     return Status::InvalidArgument(
         "snapshot written with different endianness: " + path);
   }
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(version) +
-        " (expected " + std::to_string(kMinSnapshotVersion) + ".." +
-        std::to_string(kSnapshotVersion) + "): " + path);
+        " (expected " + std::to_string(kSnapshotVersion) + "): " + path);
   }
   if (header != nullptr) {
     header->version = version;

@@ -20,15 +20,15 @@ namespace persist {
 // snapshot written on a machine with different endianness (the paper's
 // engine state is a memory image, not an interchange format).
 inline constexpr uint64_t kSnapshotMagic = 0x706B63'74656E6372ULL;  // "rcnetckp"
-// Version 2: NetworkStats/RunMetrics gained the lossy-link and recovery
-// counters (link_dropped / link_duplicated / link_retried / recoveries).
 // Version 3: the BDD node table and every stored root are complement-edge
 // tagged refs — (remapped node id << 1) | complement bit, with id 0 the
-// single TRUE terminal — instead of version 2's plain node ids with two
-// terminal ids. Writers emit version 3; readers accept 2 and 3 (a v2 table
-// decodes through the manager's canonicalizing restore path).
-inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kMinSnapshotVersion = 2;
+// single TRUE terminal.
+// Version 4: the per-program options record and the summary carry only the
+// per-view policy and the deployment (num_physical, shards); the
+// batch-delivery flag, the per-program physical/shard copies and the
+// simulated per-message latency are gone. Readers accept exactly the
+// writer's version.
+inline constexpr uint32_t kSnapshotVersion = 4;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 

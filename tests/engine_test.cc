@@ -35,8 +35,14 @@ EngineOptions GraphOptions(int num_nodes, ProvMode prov) {
   EngineOptions options;
   options.num_nodes = num_nodes;
   options.runtime.prov = prov;
-  options.runtime.num_physical = 4;
   return options;
+}
+
+// The deployment the engines run on: 4 physical peers.
+SessionOptions FourPeers() {
+  SessionOptions deployment;
+  deployment.num_physical = 4;
+  return deployment;
 }
 
 class EngineProvTest : public ::testing::TestWithParam<ProvMode> {};
@@ -50,7 +56,8 @@ INSTANTIATE_TEST_SUITE_P(AllProvModes, EngineProvTest,
                          });
 
 TEST_P(EngineProvTest, ReachableInsertDeleteMaintain) {
-  auto engine = Engine::Compile(kReachable, GraphOptions(5, GetParam()));
+  auto engine = Engine::Compile(kReachable, GraphOptions(5, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   EXPECT_EQ(e.plan().kind, datalog::PlanKind::kReachable);
@@ -80,7 +87,8 @@ TEST_P(EngineProvTest, ReachableInsertDeleteMaintain) {
 }
 
 TEST_P(EngineProvTest, AggregateViewScanAndLookup) {
-  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()));
+  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
@@ -99,7 +107,8 @@ TEST_P(EngineProvTest, AggregateViewScanAndLookup) {
 }
 
 TEST_P(EngineProvTest, ShortestPathFromDatalogSource) {
-  auto engine = Engine::Compile(kShortestPath, GraphOptions(4, GetParam()));
+  auto engine = Engine::Compile(kShortestPath, GraphOptions(4, GetParam()),
+                                FourPeers());
   if (GetParam() != ProvMode::kAbsorption) {
     // The shortest-path runtime supports absorption only; the facade turns
     // that into a typed error instead of a crash.
@@ -151,9 +160,8 @@ TEST_P(EngineProvTest, RegionFromDatalogSource) {
   EngineOptions options;
   options.field = MakeSensorGrid(grid);
   options.runtime.prov = GetParam();
-  options.runtime.num_physical = 4;
 
-  auto engine = Engine::Compile(kRegion, options);
+  auto engine = Engine::Compile(kRegion, options, FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   EXPECT_EQ(e.plan().kind, datalog::PlanKind::kRegion);
@@ -187,7 +195,8 @@ TEST_P(EngineProvTest, RegionFromDatalogSource) {
 
 TEST(EngineTest, ExplainReturnsWitnessLinks) {
   auto engine =
-      Engine::Compile(kReachable, GraphOptions(4, ProvMode::kAbsorption));
+      Engine::Compile(kReachable, GraphOptions(4, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok());
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
@@ -212,7 +221,7 @@ TEST(EngineTest, ExplainReturnsWitnessLinks) {
             StatusCode::kInvalidArgument);
   // Non-absorption modes refuse.
   auto dred =
-      Engine::Compile(kReachable, GraphOptions(4, ProvMode::kSet));
+      Engine::Compile(kReachable, GraphOptions(4, ProvMode::kSet), FourPeers());
   ASSERT_TRUE(dred.ok());
   ASSERT_TRUE((*dred)->Insert("link", {0, 1}).ok());
   ASSERT_TRUE((*dred)->Apply().ok());
@@ -227,7 +236,7 @@ TEST(EngineTest, LoadsGroundFactsFromProgram) {
     span(x,y) :- wire(x,y).
     span(x,y) :- span(x,z), wire(z,y).
     wire(0,1). wire(1,2).
-  )", GraphOptions(3, ProvMode::kAbsorption));
+  )", GraphOptions(3, ProvMode::kAbsorption), FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_TRUE((*engine)->Apply().ok());
   EXPECT_TRUE(*(*engine)->Contains("span", {0, 2}));
@@ -237,7 +246,7 @@ TEST(EngineTest, RightLinearOrientationExecutes) {
   auto engine = Engine::Compile(R"(
     hop(a,b) :- edge(a,b).
     hop(a,b) :- hop(a,m), edge(m,b).
-  )", GraphOptions(4, ProvMode::kAbsorption));
+  )", GraphOptions(4, ProvMode::kAbsorption), FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("edge", {0, 1}).ok());
@@ -248,7 +257,8 @@ TEST(EngineTest, RightLinearOrientationExecutes) {
 
 TEST(EngineTest, SoftStateTtlExpiryIsDeletion) {
   auto engine =
-      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption));
+      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok());
   Engine& e = **engine;
   ASSERT_TRUE(e.InsertWithTtl("link", Tuple::OfInts({0, 1}), 20.0).ok());
@@ -274,7 +284,8 @@ TEST(EngineTest, SoftStateTtlExpiryIsDeletion) {
 
 TEST(EngineTest, PlainInsertCancelsSoftStateDeadline) {
   auto engine =
-      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption));
+      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok());
   Engine& e = **engine;
   ASSERT_TRUE(e.InsertWithTtl("link", Tuple::OfInts({0, 1}), 5.0).ok());
@@ -287,7 +298,8 @@ TEST(EngineTest, PlainInsertCancelsSoftStateDeadline) {
 
 TEST(EngineTest, IngestionErrorsAreTyped) {
   auto engine =
-      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption));
+      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok());
   Engine& e = **engine;
   EXPECT_EQ(e.Insert("nolink", {0, 1}).code(), StatusCode::kNotFound);
@@ -304,7 +316,8 @@ TEST(EngineTest, LateFactsGrowTheNodeIdSpace) {
   // topology instead of erroring (the pre-session facade rejected it with
   // OutOfRange).
   auto engine =
-      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption));
+      Engine::Compile(kReachable, GraphOptions(3, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok());
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());

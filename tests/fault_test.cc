@@ -202,12 +202,10 @@ constexpr char kReachable[] = R"(
 
 constexpr int kNodes = 16;
 
-EngineOptions GraphOptions(ProvMode prov, int shards) {
+EngineOptions GraphOptions(ProvMode prov) {
   EngineOptions options;
   options.num_nodes = kNodes;
   options.runtime.prov = prov;
-  options.runtime.num_physical = 4;
-  options.runtime.shards = shards;
   return options;
 }
 
@@ -282,7 +280,7 @@ TEST_P(CrashRecoveryTest, RecoveredRunIsBitIdentical) {
   SessionOutcome baseline;
   {
     Session session(BaseSessionOptions(shards));
-    auto view = session.AddProgram(kReachable, GraphOptions(prov, shards));
+    auto view = session.AddProgram(kReachable, GraphOptions(prov));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     RunWorkload(&session, *view, &baseline);
     ASSERT_FALSE(HasFatalFailure());
@@ -294,7 +292,7 @@ TEST_P(CrashRecoveryTest, RecoveredRunIsBitIdentical) {
   faulted_options.faults.kill_at_generation = 3;
   faulted_options.recovery.enabled = true;
   Session faulted(faulted_options);
-  auto view = faulted.AddProgram(kReachable, GraphOptions(prov, shards));
+  auto view = faulted.AddProgram(kReachable, GraphOptions(prov));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   SessionOutcome recovered;
   RunWorkload(&faulted, *view, &recovered);
@@ -317,7 +315,7 @@ TEST_P(CrashRecoveryTest, RateBasedDeathsAreMasked) {
   SessionOutcome baseline;
   {
     Session session(BaseSessionOptions(shards));
-    auto view = session.AddProgram(kReachable, GraphOptions(prov, shards));
+    auto view = session.AddProgram(kReachable, GraphOptions(prov));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     RunWorkload(&session, *view, &baseline);
     ASSERT_FALSE(HasFatalFailure());
@@ -330,7 +328,7 @@ TEST_P(CrashRecoveryTest, RateBasedDeathsAreMasked) {
   faulted_options.recovery.max_recoveries = 64;
   faulted_options.recovery.checkpoint_interval = 4;
   Session faulted(faulted_options);
-  auto view = faulted.AddProgram(kReachable, GraphOptions(prov, shards));
+  auto view = faulted.AddProgram(kReachable, GraphOptions(prov));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   SessionOutcome recovered;
   RunWorkload(&faulted, *view, &recovered);
@@ -347,7 +345,7 @@ TEST(CrashRecoveryEdgeTest, RecoveryDisabledSurfacesUnavailable) {
   options.faults.kill_at_generation = 2;
   Session session(options);
   auto view =
-      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 2));
+      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   InsertPhase(&session);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -365,7 +363,7 @@ TEST(CrashRecoveryEdgeTest, RetryBudgetExhaustionSurfacesTheFault) {
   options.recovery.max_recoveries = 3;
   Session session(options);
   auto view =
-      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 1));
+      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   InsertPhase(&session);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -404,7 +402,7 @@ TEST_F(TornCheckpointTest, TearNeverTouchesTheTarget) {
   {
     Session session(BaseSessionOptions(1));
     auto view =
-        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 1));
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     InsertPhase(&session);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -423,7 +421,7 @@ TEST_F(TornCheckpointTest, TearNeverTouchesTheTarget) {
     options.faults.snapshot_tear_rate = 1.0;
     Session session(options);
     auto view =
-        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 1));
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     InsertPhase(&session);
     DeletePhase(&session);
@@ -459,7 +457,7 @@ TEST(LossyLinkTest, ConvergesToTheLosslessFixpoint) {
   {
     Session session(BaseSessionOptions(2));
     auto view =
-        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 2));
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     RunWorkload(&session, *view, &lossless);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -474,7 +472,7 @@ TEST(LossyLinkTest, ConvergesToTheLosslessFixpoint) {
   options.faults.link_dup_rate = 0.2;
   Session session(options);
   auto view =
-      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 2));
+      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   SessionOutcome lossy;
   RunWorkload(&session, *view, &lossy);
@@ -498,7 +496,7 @@ TEST(LossyLinkTest, LossyRunIsSeedDeterministic) {
     options.faults.link_drop_rate = 0.3;
     Session session(options);
     auto view =
-        session.AddProgram(kReachable, GraphOptions(ProvMode::kSet, 4));
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kSet));
     EXPECT_TRUE(view.ok()) << view.status().ToString();
     SessionOutcome out;
     RunWorkload(&session, *view, &out);
@@ -521,7 +519,7 @@ TEST(LossyLinkTest, InertAtOneShard) {
   {
     Session session(BaseSessionOptions(1));
     auto view =
-        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 1));
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     RunWorkload(&session, *view, &lossless);
   }
@@ -531,7 +529,7 @@ TEST(LossyLinkTest, InertAtOneShard) {
   options.faults.link_dup_rate = 0.5;
   Session session(options);
   auto view =
-      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption, 1));
+      session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   SessionOutcome lossy;
   RunWorkload(&session, *view, &lossy);

@@ -273,6 +273,41 @@ TEST_F(MinShipTest, DirectShipsEveryNewDerivation) {
   EXPECT_EQ(sent_.size(), 2u);
 }
 
+TEST_F(MinShipTest, EagerDemotesPastWidthThenBehavesLazily) {
+  MinShip ship = Make(ShipMode::kEager, 4);
+  Tuple t = Tuple::OfInts({1, 2});
+  ship.ProcessInsert(t, Var(100));  // First derivation ships.
+  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_FALSE(ship.demoted());
+  // (x1 ∧ y1) ∨ ... ∨ (x10 ∧ y10) with every x ordered before every y: its
+  // BDD has about 2^11 nodes, far past the demotion ceiling.
+  Prov wide = Prov::False(ProvMode::kAbsorption, &mgr_);
+  for (bdd::Var i = 1; i <= 10; ++i) wide = wide.Or(Var(i).And(Var(10 + i)));
+  ASSERT_GT(wide.bdd().CountNodes(), kEagerDemoteWidth);
+  ship.ProcessInsert(t, wide);
+  EXPECT_TRUE(ship.demoted());
+  EXPECT_EQ(ship.demotions(), 1u);
+  // Demoted: more alternates than a batch window, yet no periodic flush.
+  Prov buffered = wide;
+  for (bdd::Var v = 101; v <= 106; ++v) {
+    ship.ProcessInsert(t, Var(v));
+    buffered = buffered.Or(Var(v));
+  }
+  EXPECT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(ship.buffered(), 1u);
+  EXPECT_EQ(ship.demotions(), 1u);
+  // The quiescent compaction keeps the non-absorbed alternate and ships
+  // nothing.
+  ship.FlushIfDemoted();
+  EXPECT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(ship.buffered(), 1u);
+  // Killing the shipped derivation still promotes the buffered alternate.
+  ship.ProcessKill({100});
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_TRUE(sent_[1].second == buffered);
+  EXPECT_EQ(ship.buffered(), 0u);
+}
+
 TEST_F(MinShipTest, FlushShipsAllBuffered) {
   MinShip ship = Make(ShipMode::kLazy);
   ship.ProcessInsert(Tuple::OfInts({1, 2}), Var(1));

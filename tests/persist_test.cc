@@ -128,7 +128,6 @@ EngineOptions GraphOptions(const Strategy& strategy) {
   options.runtime.prov = strategy.prov;
   options.runtime.ship = strategy.ship;
   options.runtime.batch_window = 16;
-  options.runtime.num_physical = 4;
   return options;
 }
 
@@ -309,10 +308,8 @@ TEST(PersistTest, ShortestPathAndRegionRoundTrip) {
   SensorField field = TestField();
   EngineOptions path_options;
   path_options.num_nodes = kNodes;
-  path_options.runtime.num_physical = 4;
   EngineOptions region_options;
   region_options.field = field;
-  region_options.runtime.num_physical = 4;
 
   auto build = [&](Session* session) {
     ASSERT_TRUE(session->AddProgram(kShortestPath, path_options).ok());
@@ -509,10 +506,14 @@ TEST_F(PersistCorruptionTest, BitFlipIsDataLoss) {
 }
 
 TEST_F(PersistCorruptionTest, VersionSkewIsInvalidArgument) {
-  std::vector<char> skewed = bytes_;
-  skewed[8] = 99;  // Header layout: magic u64, then version u32.
-  WriteBack(skewed);
-  EXPECT_EQ(RestoreCode(), StatusCode::kInvalidArgument);
+  // Header layout: magic u64, then version u32. Only the writer's version
+  // restores: a future version and the previous format (v3) both fail.
+  for (char version : {char{99}, char{3}}) {
+    std::vector<char> skewed = bytes_;
+    skewed[8] = version;
+    WriteBack(skewed);
+    EXPECT_EQ(RestoreCode(), StatusCode::kInvalidArgument) << int{version};
+  }
 }
 
 TEST_F(PersistCorruptionTest, WrongMagicIsInvalidArgument) {

@@ -29,10 +29,12 @@ TEST_P(BatchedUpdatesTest, ViewEqualsReferenceAfterEveryBatch) {
   RuntimeOptions opts;
   opts.prov = prov;
   opts.ship = ship;
-  opts.num_physical = 3;  // Co-locate logical nodes: mixed local/remote.
   opts.batch_window = 2;
   opts.message_budget = 10'000'000;
-  ReachableRuntime rt(n, opts);
+  // Co-locate logical nodes on 3 physical peers: mixed local/remote.
+  SubstrateOptions deployment;
+  deployment.num_physical = 3;
+  ReachableRuntime rt(std::make_shared<Substrate>(n, deployment), n, opts);
   Rng rng(static_cast<uint64_t>(seed) * 104729 + 7);
   std::map<std::pair<int, int>, bool> live;
 
@@ -98,7 +100,8 @@ TEST(StrategyAgreementTest, AllStrategiesProduceIdenticalViews) {
     RuntimeOptions opts;
     opts.prov = c.prov;
     opts.ship = c.ship;
-    rts.push_back(std::make_unique<ReachableRuntime>(n, opts));
+    rts.push_back(std::make_unique<ReachableRuntime>(
+        std::make_shared<Substrate>(n, SubstrateOptions{}), n, opts));
   }
   for (auto& rt : rts) {
     for (auto [s, d] : edges) rt->InsertLink(s, d);
@@ -129,7 +132,8 @@ TEST(ProvenanceHygieneTest, DeadVariablesNeverLingerInTheView) {
   const int n = 5;
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
-  ReachableRuntime rt(n, opts);
+  ReachableRuntime rt(std::make_shared<Substrate>(n, SubstrateOptions{}), n,
+                      opts);
   Rng rng(31337);
   std::map<std::pair<int, int>, bool> live;
   std::vector<std::pair<int, int>> dead_links;

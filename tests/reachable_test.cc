@@ -13,9 +13,15 @@ RuntimeOptions Opts(ProvMode prov, ShipMode ship = ShipMode::kLazy) {
   RuntimeOptions opts;
   opts.prov = prov;
   opts.ship = ship;
-  opts.num_physical = 1000;  // One logical node per physical peer.
   opts.message_budget = 10'000'000;
   return opts;
+}
+
+// A private substrate of `n` nodes, one logical node per physical peer.
+std::shared_ptr<Substrate> Net(int n) {
+  SubstrateOptions deployment;
+  deployment.num_physical = 1000;
+  return std::make_shared<Substrate>(n, deployment);
 }
 
 // Compares the distributed view against the centralized oracle.
@@ -34,7 +40,7 @@ class PaperExampleTest : public ::testing::TestWithParam<ProvMode> {};
 
 TEST_P(PaperExampleTest, TriangleNetworkComputesFullClosure) {
   // Nodes A=0, B=1, C=2; links A->B, B->C, C->A, C->B (Figure 3).
-  ReachableRuntime rt(3, Opts(GetParam()));
+  ReachableRuntime rt(Net(3), 3, Opts(GetParam()));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   rt.InsertLink(2, 0);
@@ -50,7 +56,7 @@ TEST_P(PaperExampleTest, TriangleNetworkComputesFullClosure) {
 TEST_P(PaperExampleTest, DeletingRedundantLinkKeepsViewIntact) {
   // Deleting link(C, B) leaves A, B, C still fully connected (paper §3.2:
   // "it is clear that nodes A, B, and C are still connected").
-  ReachableRuntime rt(3, Opts(GetParam()));
+  ReachableRuntime rt(Net(3), 3, Opts(GetParam()));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   rt.InsertLink(2, 0);
@@ -65,7 +71,7 @@ TEST_P(PaperExampleTest, DeletingRedundantLinkKeepsViewIntact) {
 
 TEST_P(PaperExampleTest, DeletingBridgeLinkShrinksView) {
   // A -> B -> C chain: deleting A->B removes everything from A.
-  ReachableRuntime rt(3, Opts(GetParam()));
+  ReachableRuntime rt(Net(3), 3, Opts(GetParam()));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   ASSERT_TRUE(rt.Run());
@@ -86,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, PaperExampleTest,
 TEST(MessageAccountingTest, SetSemanticsShipsSixteenTuples) {
   // Paper §3.2: "In total, 16 tuples (4 initial link tuples, and 12
   // reachable tuples) are shipped during the recursive computation."
-  ReachableRuntime rt(3, Opts(ProvMode::kSet));
+  ReachableRuntime rt(Net(3), 3, Opts(ProvMode::kSet));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   rt.InsertLink(2, 0);
@@ -99,7 +105,8 @@ TEST(MessageAccountingTest, AbsorptionShipsExtraDerivations) {
   // Absorption provenance must propagate additional non-absorbed
   // derivations (the tuples marked "*" in Figure 2): strictly more ships
   // than set semantics.
-  ReachableRuntime rt(3, Opts(ProvMode::kAbsorption, ShipMode::kDirect));
+  ReachableRuntime rt(Net(3), 3, Opts(ProvMode::kAbsorption,
+                      ShipMode::kDirect));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   rt.InsertLink(2, 0);
@@ -110,7 +117,7 @@ TEST(MessageAccountingTest, AbsorptionShipsExtraDerivations) {
 
 TEST(MessageAccountingTest, LazyShipsNoMoreThanDirect) {
   auto run = [](ShipMode mode) {
-    ReachableRuntime rt(3, Opts(ProvMode::kAbsorption, mode));
+    ReachableRuntime rt(Net(3), 3, Opts(ProvMode::kAbsorption, mode));
     rt.InsertLink(0, 1);
     rt.InsertLink(1, 2);
     rt.InsertLink(2, 0);
@@ -124,8 +131,8 @@ TEST(MessageAccountingTest, LazyShipsNoMoreThanDirect) {
 TEST(MessageAccountingTest, RedundantLinkDeletionIsCheapWithProvenance) {
   // With absorption provenance, deleting link(C, B) requires only kill
   // propagation — far less than DRed's full recomputation.
-  ReachableRuntime abs(3, Opts(ProvMode::kAbsorption));
-  ReachableRuntime dred(3, Opts(ProvMode::kSet));
+  ReachableRuntime abs(Net(3), 3, Opts(ProvMode::kAbsorption));
+  ReachableRuntime dred(Net(3), 3, Opts(ProvMode::kSet));
   for (ReachableRuntime* rt : {&abs, &dred}) {
     rt->InsertLink(0, 1);
     rt->InsertLink(1, 2);
@@ -154,7 +161,7 @@ TEST_P(RandomGraphTest, InsertionsThenDeletionsMatchReference) {
   auto [prov, ship, seed] = GetParam();
   const int n = 8;
   Rng rng(static_cast<uint64_t>(seed) * 7919 + 13);
-  ReachableRuntime rt(n, Opts(prov, ship));
+  ReachableRuntime rt(Net(n), n, Opts(prov, ship));
   std::vector<LinkTuple> live;
 
   // Random insertions.
@@ -197,7 +204,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Soft-state renewal -------------------------------------------------------
 
 TEST(SoftStateTest, ReinsertionAfterExpiryRestoresView) {
-  ReachableRuntime rt(3, Opts(ProvMode::kAbsorption));
+  ReachableRuntime rt(Net(3), 3, Opts(ProvMode::kAbsorption));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   ASSERT_TRUE(rt.Run());
@@ -210,7 +217,7 @@ TEST(SoftStateTest, ReinsertionAfterExpiryRestoresView) {
 }
 
 TEST(SoftStateTest, DoubleInsertIsIdempotent) {
-  ReachableRuntime rt(2, Opts(ProvMode::kAbsorption));
+  ReachableRuntime rt(Net(2), 2, Opts(ProvMode::kAbsorption));
   rt.InsertLink(0, 1);
   rt.InsertLink(0, 1);
   ASSERT_TRUE(rt.Run());
@@ -221,7 +228,7 @@ TEST(SoftStateTest, DoubleInsertIsIdempotent) {
 }
 
 TEST(SoftStateTest, DeleteOfUnknownLinkIsNoOp) {
-  ReachableRuntime rt(2, Opts(ProvMode::kAbsorption));
+  ReachableRuntime rt(Net(2), 2, Opts(ProvMode::kAbsorption));
   rt.DeleteLink(0, 1);
   ASSERT_TRUE(rt.Run());
   EXPECT_EQ(rt.ViewSize(), 0u);
@@ -231,7 +238,7 @@ TEST(SoftStateTest, DeleteOfUnknownLinkIsNoOp) {
 
 TEST(ReachabilityViewTest, QuickstartFlow) {
   RuntimeOptions opts = Opts(ProvMode::kAbsorption);
-  ReachabilityView view(4, opts);
+  ReachabilityView view(Net(4), 4, opts);
   view.InsertLink(0, 1);
   view.InsertLink(1, 2);
   view.InsertLink(2, 3);
@@ -251,7 +258,7 @@ TEST(ReachabilityViewTest, QuickstartFlow) {
 TEST(ReachabilityViewTest, BudgetExceededSurfacesAsError) {
   RuntimeOptions opts = Opts(ProvMode::kAbsorption);
   opts.message_budget = 2;  // Absurdly small.
-  ReachabilityView view(4, opts);
+  ReachabilityView view(Net(4), 4, opts);
   view.InsertLink(0, 1);
   view.InsertLink(1, 2);
   view.InsertLink(2, 0);
@@ -263,7 +270,7 @@ TEST(ReachabilityViewTest, BudgetExceededSurfacesAsError) {
 // --- Provenance diagnostics ----------------------------------------------------
 
 TEST(ProvenanceDiagnosticsTest, ViewProvenanceReflectsRedundancy) {
-  ReachableRuntime rt(3, Opts(ProvMode::kAbsorption));
+  ReachableRuntime rt(Net(3), 3, Opts(ProvMode::kAbsorption));
   rt.InsertLink(0, 1);
   rt.InsertLink(1, 2);
   rt.InsertLink(0, 2);

@@ -12,9 +12,15 @@ RuntimeOptions Opts(ProvMode prov, ShipMode ship = ShipMode::kLazy) {
   RuntimeOptions opts;
   opts.prov = prov;
   opts.ship = ship;
-  opts.num_physical = 1000;
   opts.message_budget = 10'000'000;
   return opts;
+}
+
+// A private substrate for `field`, one sensor per physical peer.
+std::shared_ptr<Substrate> Net(const SensorField& field) {
+  SubstrateOptions deployment;
+  deployment.num_physical = 1000;
+  return std::make_shared<Substrate>(field.num_sensors, deployment);
 }
 
 // A 3x3 field with spacing 10 and k = 12: only the 4-neighborhood is
@@ -43,7 +49,7 @@ class RegionModesTest : public ::testing::TestWithParam<ProvMode> {};
 
 TEST_P(RegionModesTest, SeedAloneFormsSingletonRegion) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(GetParam()));
+  RegionRuntime rt(Net(field), field, Opts(GetParam()));
   rt.Trigger(4);
   ASSERT_TRUE(rt.Run());
   EXPECT_EQ(rt.RegionMembers(0), (std::set<int>{1, 3, 4, 5, 7}));
@@ -55,7 +61,7 @@ TEST_P(RegionModesTest, SeedAloneFormsSingletonRegion) {
 
 TEST_P(RegionModesTest, TriggeredChainGrowsRegion) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(GetParam()));
+  RegionRuntime rt(Net(field), field, Opts(GetParam()));
   rt.Trigger(4);
   rt.Trigger(5);  // Right of center; its neighbors (2, 8) join too.
   ASSERT_TRUE(rt.Run());
@@ -68,7 +74,7 @@ TEST_P(RegionModesTest, TriggeredChainGrowsRegion) {
 
 TEST_P(RegionModesTest, UntriggerShrinksRegion) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(GetParam()));
+  RegionRuntime rt(Net(field), field, Opts(GetParam()));
   rt.Trigger(4);
   rt.Trigger(5);
   ASSERT_TRUE(rt.Run());
@@ -83,7 +89,7 @@ TEST_P(RegionModesTest, UntriggerShrinksRegion) {
 
 TEST_P(RegionModesTest, UntriggerSeedEmptiesRegion) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(GetParam()));
+  RegionRuntime rt(Net(field), field, Opts(GetParam()));
   rt.Trigger(4);
   rt.Trigger(1);
   ASSERT_TRUE(rt.Run());
@@ -97,7 +103,7 @@ TEST_P(RegionModesTest, UntriggerSeedEmptiesRegion) {
 
 TEST_P(RegionModesTest, RetriggerRestoresRegion) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(GetParam()));
+  RegionRuntime rt(Net(field), field, Opts(GetParam()));
   rt.Trigger(4);
   ASSERT_TRUE(rt.Run());
   rt.Untrigger(4);
@@ -120,7 +126,7 @@ TEST(RegionAggregatesTest, LargestRegionsTracksTies) {
   options.num_seeds = 2;
   SensorField field = MakeSensorGrid(options);
   field.seed_sensors = {0, 15};  // Opposite corners; regions are disjoint.
-  RegionRuntime rt(field, Opts(ProvMode::kAbsorption));
+  RegionRuntime rt(Net(field), field, Opts(ProvMode::kAbsorption));
   rt.Trigger(0);
   rt.Trigger(15);
   ASSERT_TRUE(rt.Run());
@@ -144,7 +150,7 @@ TEST(RegionRandomTest, RandomTriggerSequencesMatchReference) {
   SensorField field = MakeSensorGrid(options);
   for (ProvMode prov :
        {ProvMode::kSet, ProvMode::kAbsorption, ProvMode::kRelative}) {
-    RegionRuntime rt(field, Opts(prov));
+    RegionRuntime rt(Net(field), field, Opts(prov));
     std::vector<bool> triggered(
         static_cast<size_t>(field.num_sensors), false);
     Rng rng(99);
@@ -172,7 +178,7 @@ TEST(RegionRandomTest, RandomTriggerSequencesMatchReference) {
 
 TEST(RegionTest, DoubleTriggerIsIdempotent) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(ProvMode::kAbsorption));
+  RegionRuntime rt(Net(field), field, Opts(ProvMode::kAbsorption));
   rt.Trigger(4);
   rt.Trigger(4);
   ASSERT_TRUE(rt.Run());
@@ -184,7 +190,7 @@ TEST(RegionTest, DoubleTriggerIsIdempotent) {
 
 TEST(RegionTest, UntriggerUnknownSensorIsNoOp) {
   SensorField field = SmallField();
-  RegionRuntime rt(field, Opts(ProvMode::kAbsorption));
+  RegionRuntime rt(Net(field), field, Opts(ProvMode::kAbsorption));
   rt.Untrigger(3);
   ASSERT_TRUE(rt.Run());
   EXPECT_EQ(rt.ViewSize(), 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "engine/metrics.h"
 #include "engine/reachable_runtime.h"
 #include "engine/runtime_base.h"
+#include "queries/reference.h"
 
 namespace recnet {
 namespace {
@@ -18,11 +21,16 @@ Update Ins(Tuple t) {
   return Update::Insert(std::move(t), Prov::True(ProvMode::kSet, &mgr));
 }
 
+// A delivery handler that accepts and drops every run.
+void Ignore(const Envelope*, size_t) {}
+
 TEST(RouterTest, FifoDeliveryOrder) {
   Router router(4, 4);
   std::vector<int64_t> seen;
-  router.set_handler([&](const Envelope& env) {
-    seen.push_back(env.update.tuple.IntAt(0));
+  router.set_batch_handler([&](const Envelope* envs, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      seen.push_back(envs[i].update.tuple.IntAt(0));
+    }
   });
   for (int64_t i = 0; i < 5; ++i) {
     router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({i})));
@@ -34,11 +42,14 @@ TEST(RouterTest, FifoDeliveryOrder) {
 TEST(RouterTest, HandlerMaySendMore) {
   Router router(4, 4);
   int delivered = 0;
-  router.set_handler([&](const Envelope& env) {
-    ++delivered;
-    if (env.update.tuple.IntAt(0) < 3) {
-      router.Send(env.dst, (env.dst + 1) % 4, kPortFix,
-                  Ins(Tuple::OfInts({env.update.tuple.IntAt(0) + 1})));
+  router.set_batch_handler([&](const Envelope* envs, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const Envelope& env = envs[i];
+      ++delivered;
+      if (env.update.tuple.IntAt(0) < 3) {
+        router.Send(env.dst, (env.dst + 1) % 4, kPortFix,
+                    Ins(Tuple::OfInts({env.update.tuple.IntAt(0) + 1})));
+      }
     }
   });
   router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({0})));
@@ -48,9 +59,11 @@ TEST(RouterTest, HandlerMaySendMore) {
 
 TEST(RouterTest, BudgetExhaustionReturnsFalse) {
   Router router(2, 2);
-  router.set_handler([&](const Envelope& env) {
+  router.set_batch_handler([&](const Envelope* envs, size_t n) {
     // Ping-pong forever.
-    router.Send(env.dst, env.src, kPortFix, Ins(Tuple::OfInts({1})));
+    for (size_t i = 0; i < n; ++i) {
+      router.Send(envs[i].dst, envs[i].src, kPortFix, Ins(Tuple::OfInts({1})));
+    }
   });
   router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({1})));
   EXPECT_FALSE(router.RunUntilQuiescent(50));
@@ -59,8 +72,10 @@ TEST(RouterTest, BudgetExhaustionReturnsFalse) {
 
 TEST(RouterTest, BudgetExhaustionDropsQueueAndRecordsAbort) {
   Router router(2, 2);
-  router.set_handler([&](const Envelope& env) {
-    router.Send(env.dst, env.src, kPortFix, Ins(Tuple::OfInts({1})));
+  router.set_batch_handler([&](const Envelope* envs, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      router.Send(envs[i].dst, envs[i].src, kPortFix, Ins(Tuple::OfInts({1})));
+    }
   });
   router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({1})));
   EXPECT_FALSE(router.RunUntilQuiescent(50));
@@ -75,7 +90,7 @@ TEST(RouterTest, AbortUnchargesTheDroppedQueue) {
   // Metrics of an aborted run reflect the traffic delivered up to the
   // cutoff: wire charges for messages dropped with the queue are reversed.
   Router router(2, 2);
-  router.set_handler([](const Envelope&) {});
+  router.set_batch_handler(Ignore);
   for (int64_t i = 0; i < 5; ++i) {
     router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({i})));
   }
@@ -118,45 +133,34 @@ TEST(RouterTest, BatchRunsNeverMixPortsAndPreserveOrder) {
   EXPECT_EQ(batch_sizes, (std::vector<size_t>{2, 1, 1, 1}));
 }
 
-TEST(RouterTest, PortBatchingParityWithUnbatchedDelivery) {
-  // (dst, port)-batched delivery must be envelope-for-envelope identical to
-  // unbatched delivery — same order, same counters except `batches`.
-  std::vector<std::tuple<LogicalNode, int, int64_t>> reference;
-  NetworkStats reference_stats;
-  for (int batched = 0; batched < 2; ++batched) {
-    SCOPED_TRACE(batched);
-    Router a(6, 3);
-    a.set_batching(batched == 1);
-    std::vector<std::tuple<LogicalNode, int, int64_t>> seen;
-    a.set_batch_handler([&](const Envelope* envs, size_t n) {
-      for (size_t i = 0; i < n; ++i) {
-        seen.emplace_back(envs[i].dst, envs[i].port,
-                          envs[i].update.tuple.IntAt(0));
-        // Handlers re-sending mid-run exercises the inbox swap.
-        if (envs[i].update.tuple.IntAt(0) == 2) {
-          a.Send(envs[i].dst, (envs[i].dst + 1) % 6, kPortKill,
-                 Ins(Tuple::OfInts({100})));
-        }
+TEST(RouterTest, PortBatchingKeepsFifoOrderAcrossReSends) {
+  // (dst, port)-batched delivery never reorders: every envelope arrives in
+  // send order, including one a handler sends mid-run.
+  Router a(6, 3);
+  std::vector<std::tuple<LogicalNode, int, int64_t>> seen;
+  a.set_batch_handler([&](const Envelope* envs, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      seen.emplace_back(envs[i].dst, envs[i].port,
+                        envs[i].update.tuple.IntAt(0));
+      // Handlers re-sending mid-run exercises the inbox swap.
+      if (envs[i].update.tuple.IntAt(0) == 2) {
+        a.Send(envs[i].dst, (envs[i].dst + 1) % 6, kPortKill,
+               Ins(Tuple::OfInts({100})));
       }
-    });
-    for (int64_t i = 0; i < 12; ++i) {
-      a.Send(0, static_cast<LogicalNode>(i % 3 + 1), i % 2 == 0 ? kPortFix
-                                                                : kPortAgg,
-             Ins(Tuple::OfInts({i})));
     }
-    EXPECT_TRUE(a.RunUntilQuiescent(100));
-    if (batched == 0) {
-      reference = seen;
-      reference_stats = a.stats();
-    } else {
-      EXPECT_EQ(seen, reference);
-      EXPECT_EQ(a.stats().messages, reference_stats.messages);
-      EXPECT_EQ(a.stats().bytes, reference_stats.bytes);
-      EXPECT_EQ(a.stats().local_messages, reference_stats.local_messages);
-      EXPECT_EQ(a.stats().insert_messages, reference_stats.insert_messages);
-      EXPECT_LE(a.stats().batches, reference_stats.batches);
-    }
+  });
+  std::vector<std::tuple<LogicalNode, int, int64_t>> want;
+  for (int64_t i = 0; i < 12; ++i) {
+    LogicalNode dst = static_cast<LogicalNode>(i % 3 + 1);
+    int port = i % 2 == 0 ? kPortFix : kPortAgg;
+    a.Send(0, dst, port, Ins(Tuple::OfInts({i})));
+    want.emplace_back(dst, port, i);
   }
+  want.emplace_back(4, kPortKill, 100);  // Sent by the delivery of 2 to 3.
+  EXPECT_TRUE(a.RunUntilQuiescent(100));
+  EXPECT_EQ(seen, want);
+  // Consecutive sends never share a (dst, port), so every run is size 1.
+  EXPECT_EQ(a.stats().batches, want.size());
 }
 
 TEST(RouterTest, BatchDeliveryCoalescesSameDestinationRuns) {
@@ -185,8 +189,8 @@ TEST(RouterTest, BatchDeliveryCoalescesSameDestinationRuns) {
 TEST(RouterTest, SendBatchChargedLikeIndividualSends) {
   Router a(4, 2);
   Router b(4, 2);
-  a.set_handler([](const Envelope&) {});
-  b.set_handler([](const Envelope&) {});
+  a.set_batch_handler(Ignore);
+  b.set_batch_handler(Ignore);
   std::vector<Update> batch;
   for (int64_t i = 0; i < 4; ++i) {
     a.Send(0, 1, kPortFix, Ins(Tuple::OfInts({i})));
@@ -205,7 +209,7 @@ TEST(RouterTest, SendBatchChargedLikeIndividualSends) {
 TEST(RouterTest, LocalMessagesAreFreeOnTheWire) {
   // 4 logical nodes on 2 physical peers: 0,2 -> peer 0; 1,3 -> peer 1.
   Router router(4, 2);
-  router.set_handler([](const Envelope&) {});
+  router.set_batch_handler(Ignore);
   router.Send(0, 2, kPortFix, Ins(Tuple::OfInts({1, 2})));  // Same peer.
   EXPECT_EQ(router.stats().messages, 0u);
   EXPECT_EQ(router.stats().local_messages, 1u);
@@ -222,7 +226,7 @@ TEST(RouterTest, StatsClassifyMessageTypes) {
   // this ordering via Substrate; standalone senders must too.
   bdd::Manager mgr;
   Router router(2, 2);
-  router.set_handler([](const Envelope&) {});
+  router.set_batch_handler(Ignore);
   router.Send(0, 1, kPortFix,
               Update::Insert(Tuple::OfInts({1}),
                              Prov::BaseVar(ProvMode::kAbsorption, &mgr, 3)));
@@ -239,7 +243,7 @@ TEST(RouterTest, StatsClassifyMessageTypes) {
 
 TEST(RouterTest, PerPeerBytesAttributedToSender) {
   Router router(4, 2);
-  router.set_handler([](const Envelope&) {});
+  router.set_batch_handler(Ignore);
   router.Send(1, 2, kPortFix, Ins(Tuple::OfInts({1})));  // Peer 1 -> 0.
   EXPECT_EQ(router.stats().per_peer_bytes[0], 0u);
   EXPECT_GT(router.stats().per_peer_bytes[1], 0u);
@@ -248,7 +252,7 @@ TEST(RouterTest, PerPeerBytesAttributedToSender) {
 
 TEST(RouterTest, ResetClearsCounters) {
   Router router(2, 2);
-  router.set_handler([](const Envelope&) {});
+  router.set_batch_handler(Ignore);
   router.Send(0, 1, kPortFix, Ins(Tuple::OfInts({1})));
   EXPECT_TRUE(router.RunUntilQuiescent(10));
   router.ResetStats();
@@ -256,62 +260,48 @@ TEST(RouterTest, ResetClearsCounters) {
   EXPECT_EQ(router.stats().bytes, 0u);
 }
 
-// Batched delivery is a dispatch optimization only: for the same workload
-// the traffic counters must be bit-identical to unbatched execution (the
-// figure-7 reproducibility contract), across all maintenance strategies.
-TEST(RouterTest, BatchedRunMatchesUnbatchedNetworkStats) {
+// Batched delivery through a runtime, under every maintenance strategy:
+// after inserts and after deletes the view equals the centralized
+// reachability oracle (the traffic counters are pinned by the committed
+// benchmark trajectories).
+TEST(RouterTest, BatchedRunMatchesReferenceReachability) {
+  constexpr int kNodes = 8;
   for (ProvMode prov :
        {ProvMode::kAbsorption, ProvMode::kRelative, ProvMode::kSet}) {
-    NetworkStats stats[2];
-    size_t view_size[2];
-    for (int batched = 0; batched < 2; ++batched) {
-      RuntimeOptions opts;
-      opts.prov = prov;
-      opts.num_physical = 3;
-      opts.batch_delivery = batched == 1;
-      ReachableRuntime rt(8, opts);
-      for (int i = 0; i < 8; ++i) {
-        rt.InsertLink(i, (i + 1) % 8);
-        rt.InsertLink(i, (i + 3) % 8);
-      }
-      ASSERT_TRUE(rt.Run());
-      rt.DeleteLink(2, 3);
-      rt.DeleteLink(5, 6);
-      ASSERT_TRUE(rt.Run());
-      stats[batched] = rt.router().stats();
-      view_size[batched] = rt.ViewSize();
-      // Full view-content parity, not just sizes: batched delivery must
-      // leave every partition identical.
-      if (batched == 1) {
-        RuntimeOptions unbatched_opts = opts;
-        unbatched_opts.batch_delivery = false;
-        ReachableRuntime ref(8, unbatched_opts);
-        for (int i = 0; i < 8; ++i) {
-          ref.InsertLink(i, (i + 1) % 8);
-          ref.InsertLink(i, (i + 3) % 8);
-        }
-        ASSERT_TRUE(ref.Run());
-        ref.DeleteLink(2, 3);
-        ref.DeleteLink(5, 6);
-        ASSERT_TRUE(ref.Run());
-        for (int src = 0; src < 8; ++src) {
-          EXPECT_EQ(rt.ReachableFrom(src), ref.ReachableFrom(src))
-              << ProvModeName(prov) << " src " << src;
-        }
+    SCOPED_TRACE(ProvModeName(prov));
+    RuntimeOptions opts;
+    opts.prov = prov;
+    SubstrateOptions deployment;
+    deployment.num_physical = 3;
+    ReachableRuntime rt(std::make_shared<Substrate>(kNodes, deployment),
+                        kNodes, opts);
+    std::vector<LinkTuple> live;
+    for (int i = 0; i < kNodes; ++i) {
+      for (int hop : {1, 3}) {
+        rt.InsertLink(i, (i + hop) % kNodes);
+        live.push_back(LinkTuple{i, (i + hop) % kNodes, 1.0});
       }
     }
-    EXPECT_EQ(view_size[0], view_size[1]);
-    EXPECT_EQ(stats[0].messages, stats[1].messages);
-    EXPECT_EQ(stats[0].bytes, stats[1].bytes);
-    EXPECT_EQ(stats[0].local_messages, stats[1].local_messages);
-    EXPECT_EQ(stats[0].insert_messages, stats[1].insert_messages);
-    EXPECT_EQ(stats[0].delete_messages, stats[1].delete_messages);
-    EXPECT_EQ(stats[0].kill_messages, stats[1].kill_messages);
-    EXPECT_EQ(stats[0].prov_bytes, stats[1].prov_bytes);
-    EXPECT_EQ(stats[0].prov_samples, stats[1].prov_samples);
-    EXPECT_EQ(stats[0].per_peer_bytes, stats[1].per_peer_bytes);
-    // Coalescing is the only permitted difference.
-    EXPECT_LE(stats[1].batches, stats[0].batches);
+    auto expect_reference = [&] {
+      auto expected = ReferenceReachability(kNodes, live);
+      for (int src = 0; src < kNodes; ++src) {
+        EXPECT_EQ(rt.ReachableFrom(src), expected[static_cast<size_t>(src)])
+            << "src " << src;
+      }
+    };
+    ASSERT_TRUE(rt.Run());
+    expect_reference();
+    for (auto [src, dst] : {std::pair<int, int>{2, 3}, {5, 6}}) {
+      rt.DeleteLink(src, dst);
+      live.erase(std::find_if(live.begin(), live.end(),
+                              [&](const LinkTuple& l) {
+                                return l.src == src && l.dst == dst;
+                              }));
+    }
+    ASSERT_TRUE(rt.Run());
+    expect_reference();
+    // Batching coalesces runs: never more batches than deliveries.
+    EXPECT_LE(rt.Metrics().batches, rt.router().delivered());
   }
 }
 

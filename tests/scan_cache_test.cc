@@ -33,8 +33,14 @@ EngineOptions GraphOptions(int num_nodes, ProvMode prov) {
   EngineOptions options;
   options.num_nodes = num_nodes;
   options.runtime.prov = prov;
-  options.runtime.num_physical = 4;
   return options;
+}
+
+// The deployment the engines run on: 4 physical peers.
+SessionOptions FourPeers() {
+  SessionOptions deployment;
+  deployment.num_physical = 4;
+  return deployment;
 }
 
 class ScanCacheProvTest : public ::testing::TestWithParam<ProvMode> {};
@@ -48,7 +54,8 @@ INSTANTIATE_TEST_SUITE_P(AllProvModes, ScanCacheProvTest,
                          });
 
 TEST_P(ScanCacheProvTest, ReachableScanReflectsApplyBatches) {
-  auto engine = Engine::Compile(kReachable, GraphOptions(5, GetParam()));
+  auto engine = Engine::Compile(kReachable, GraphOptions(5, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
@@ -84,7 +91,8 @@ TEST_P(ScanCacheProvTest, ReachableScanReflectsApplyBatches) {
 }
 
 TEST_P(ScanCacheProvTest, AggregateViewCacheInvalidates) {
-  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()));
+  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
@@ -109,7 +117,8 @@ TEST_P(ScanCacheProvTest, AggregateViewCacheInvalidates) {
 }
 
 TEST_P(ScanCacheProvTest, TtlExpiryInvalidatesCachedScans) {
-  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()));
+  auto engine = Engine::Compile(kReachable, GraphOptions(4, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
@@ -133,7 +142,8 @@ TEST_P(ScanCacheProvTest, TtlExpiryInvalidatesCachedScans) {
 
 TEST(ScanCacheTest, ShortestPathLookupTracksDeletions) {
   auto engine =
-      Engine::Compile(kShortestPath, GraphOptions(4, ProvMode::kAbsorption));
+      Engine::Compile(kShortestPath, GraphOptions(4, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1, 1.0}).ok());
@@ -159,7 +169,8 @@ TEST(ScanCacheTest, ShortestPathLookupTracksDeletions) {
 
 TEST(ScanCacheTest, LookupIndexNormalizesNumericKeys) {
   auto engine =
-      Engine::Compile(kShortestPath, GraphOptions(3, ProvMode::kAbsorption));
+      Engine::Compile(kShortestPath, GraphOptions(3, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1, 2.5}).ok());
@@ -181,7 +192,8 @@ TEST(ScanCacheTest, LookupIndexNormalizesNumericKeys) {
 // for the recursive and the aggregate view, for scans and indexed lookups.
 TEST_P(ScanCacheProvTest, IncrementalPatchMatchesFreshEngine) {
   const int n = 6;
-  auto cached = Engine::Compile(kReachable, GraphOptions(n, GetParam()));
+  auto cached = Engine::Compile(kReachable, GraphOptions(n, GetParam()),
+                                FourPeers());
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   // `fresh` replays the same ops but is re-compiled before every read, so
   // its caches are always built by a full ScanView sweep.
@@ -203,7 +215,8 @@ TEST_P(ScanCacheProvTest, IncrementalPatchMatchesFreshEngine) {
     }
     ASSERT_TRUE(c.Apply().ok());
 
-    auto fresh = Engine::Compile(kReachable, GraphOptions(n, GetParam()));
+    auto fresh = Engine::Compile(kReachable, GraphOptions(n, GetParam()),
+                                 FourPeers());
     ASSERT_TRUE(fresh.ok());
     for (const auto& past : applied) {
       // Apply per op, like the cached engine above (DRed requires each
@@ -247,7 +260,8 @@ TEST_P(ScanCacheProvTest, IncrementalPatchMatchesFreshEngine) {
 TEST(ScanCacheTest, ShortestPathIncrementalPatchMatchesFreshEngine) {
   const int n = 5;
   auto cached =
-      Engine::Compile(kShortestPath, GraphOptions(n, ProvMode::kAbsorption));
+      Engine::Compile(kShortestPath, GraphOptions(n, ProvMode::kAbsorption),
+                      FourPeers());
   ASSERT_TRUE(cached.ok());
   std::vector<std::pair<bool, std::vector<double>>> ops = {
       {true, {0, 1, 1.0}}, {true, {1, 2, 1.0}}, {true, {0, 2, 5.0}},
@@ -270,7 +284,8 @@ TEST(ScanCacheTest, ShortestPathIncrementalPatchMatchesFreshEngine) {
     ASSERT_TRUE(c.Apply().ok());
 
     auto fresh =
-        Engine::Compile(kShortestPath, GraphOptions(n, ProvMode::kAbsorption));
+        Engine::Compile(kShortestPath, GraphOptions(n, ProvMode::kAbsorption),
+                        FourPeers());
     ASSERT_TRUE(fresh.ok());
     for (const auto& past : applied) {
       Status pst =
@@ -307,9 +322,8 @@ TEST_P(ScanCacheProvTest, RegionIncrementalPatchMatchesFreshEngine) {
   EngineOptions options;
   options.field = MakeSensorGrid(grid);
   options.runtime.prov = GetParam();
-  options.runtime.num_physical = 4;
 
-  auto cached = Engine::Compile(kRegion, options);
+  auto cached = Engine::Compile(kRegion, options, FourPeers());
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   int seed0 = options.field->seed_sensors[0];
   int seed1 = options.field->seed_sensors[1];
@@ -331,7 +345,7 @@ TEST_P(ScanCacheProvTest, RegionIncrementalPatchMatchesFreshEngine) {
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_TRUE(c.Apply().ok());
 
-    auto fresh = Engine::Compile(kRegion, options);
+    auto fresh = Engine::Compile(kRegion, options, FourPeers());
     ASSERT_TRUE(fresh.ok());
     for (const auto& past : applied) {
       Status pst = past.first
@@ -366,9 +380,8 @@ TEST(ScanCacheTest, RegionScansTrackTriggerChanges) {
   EngineOptions options;
   options.field = MakeSensorGrid(grid);
   options.runtime.prov = ProvMode::kAbsorption;
-  options.runtime.num_physical = 4;
 
-  auto engine = Engine::Compile(kRegion, options);
+  auto engine = Engine::Compile(kRegion, options, FourPeers());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   int seed0 = options.field->seed_sensors[0];

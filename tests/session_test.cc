@@ -42,7 +42,6 @@ EngineOptions GraphOptions(ProvMode prov) {
   EngineOptions options;
   options.num_nodes = kNodes;
   options.runtime.prov = prov;
-  options.runtime.num_physical = 4;
   return options;
 }
 
@@ -50,7 +49,6 @@ EngineOptions RegionOptions(const SensorField& field, ProvMode prov) {
   EngineOptions options;
   options.field = field;
   options.runtime.prov = prov;
-  options.runtime.num_physical = 4;
   return options;
 }
 
@@ -130,12 +128,14 @@ TEST_P(SessionEquivalenceTest, SharedSubstrateMatchesIsolatedEngines) {
   bool with_paths = prov == ProvMode::kAbsorption;
 
   // --- Isolated baselines --------------------------------------------------
-  auto reach_engine = Engine::Compile(kReachable, GraphOptions(prov));
+  auto reach_engine =
+      Engine::Compile(kReachable, GraphOptions(prov), SharedOptions());
   ASSERT_TRUE(reach_engine.ok()) << reach_engine.status().ToString();
-  auto region_engine = Engine::Compile(kRegion, RegionOptions(field, prov));
+  auto region_engine =
+      Engine::Compile(kRegion, RegionOptions(field, prov), SharedOptions());
   ASSERT_TRUE(region_engine.ok()) << region_engine.status().ToString();
   StatusOr<std::unique_ptr<Engine>> path_engine =
-      Engine::Compile(kShortestPath, GraphOptions(prov));
+      Engine::Compile(kShortestPath, GraphOptions(prov), SharedOptions());
   if (with_paths) {
     ASSERT_TRUE(path_engine.ok()) << path_engine.status().ToString();
   }
@@ -453,8 +453,8 @@ TEST(SessionTest, RegionDeploymentDerivedFromGroundFacts) {
 }
 
 TEST(SessionTest, ShortestPathExplainReturnsWitnessLinks) {
-  auto engine = Engine::Compile(kShortestPath, GraphOptions(
-                                    ProvMode::kAbsorption));
+  auto engine = Engine::Compile(
+      kShortestPath, GraphOptions(ProvMode::kAbsorption), SharedOptions());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   Engine& e = **engine;
   ASSERT_TRUE(e.Insert("link", {0, 1, 1.0}).ok());

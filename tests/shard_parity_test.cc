@@ -96,15 +96,22 @@ const Strategy kStrategies[] = {
     {"RelativeEager", ProvMode::kRelative, ShipMode::kEager},
 };
 
-RuntimeOptions ShardedOptions(const Strategy& strategy, int shards) {
+RuntimeOptions ShardedOptions(const Strategy& strategy) {
   RuntimeOptions opts;
   opts.prov = strategy.prov;
   opts.ship = strategy.ship;
-  opts.num_physical = 5;
   // Small eager window so eager flushes actually fire inside the drain.
   opts.batch_window = 16;
-  opts.shards = shards;
   return opts;
+}
+
+// A private substrate of `num_nodes` nodes on 5 physical peers, drained
+// across `shards` router shards.
+std::shared_ptr<Substrate> ShardedNet(int num_nodes, int shards) {
+  SubstrateOptions deployment;
+  deployment.num_physical = 5;
+  deployment.shards = shards;
+  return std::make_shared<Substrate>(num_nodes, deployment);
 }
 
 struct ReachableOutcome {
@@ -115,7 +122,8 @@ struct ReachableOutcome {
 
 ReachableOutcome RunReachable(const Strategy& strategy, int shards,
                               int num_nodes, const GraphWorkload& w) {
-  ReachableRuntime rt(num_nodes, ShardedOptions(strategy, shards));
+  ReachableRuntime rt(ShardedNet(num_nodes, shards), num_nodes,
+                      ShardedOptions(strategy));
   for (const auto& [src, dst] : w.inserts) rt.InsertLink(src, dst);
   EXPECT_TRUE(rt.Run());
   ReachableOutcome out;
@@ -169,8 +177,8 @@ TEST(ShardParityTest, ShortestPathWithAggregateSelection) {
   auto run = [&](int shards) {
     Strategy absorption{"AbsorptionLazy", ProvMode::kAbsorption,
                         ShipMode::kLazy};
-    ShortestPathRuntime rt(num_nodes, ShardedOptions(absorption, shards),
-                           AggSelPolicy::kMulti);
+    ShortestPathRuntime rt(ShardedNet(num_nodes, shards), num_nodes,
+                           ShardedOptions(absorption), AggSelPolicy::kMulti);
     for (const auto& [src, dst, cost] : links) rt.InsertLink(src, dst, cost);
     EXPECT_TRUE(rt.Run());
     rt.DeleteLink(std::get<0>(links[3]), std::get<1>(links[3]));
@@ -204,7 +212,8 @@ TEST(ShardParityTest, RegionTriggerWaves) {
   for (const Strategy& strategy : kStrategies) {
     if (strategy.ship == ShipMode::kEager) continue;  // Keep runtime modest.
     auto run = [&](int shards) {
-      RegionRuntime rt(field, ShardedOptions(strategy, shards));
+      RegionRuntime rt(ShardedNet(field.num_sensors, shards), field,
+                       ShardedOptions(strategy));
       Rng rng(3);
       std::vector<int> triggered;
       for (int s = 0; s < field.num_sensors; ++s) {
@@ -253,9 +262,10 @@ TEST(ShardParityTest, EngineScanCachesAcrossShards) {
     EngineOptions options;
     options.num_nodes = 14;
     options.runtime.prov = prov;
-    options.runtime.num_physical = 5;
-    options.runtime.shards = shards;
-    auto engine = Engine::Compile(kProgram, options);
+    SessionOptions deployment;
+    deployment.num_physical = 5;
+    deployment.shards = shards;
+    auto engine = Engine::Compile(kProgram, options, deployment);
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
     for (size_t i = 0; i + 4 < w.inserts.size(); ++i) {
       auto [src, dst] = w.inserts[i];
@@ -353,9 +363,9 @@ TEST(ShardParityTest, BudgetAbortCutsAtSameDelivery) {
   auto run = [&](int shards) {
     Strategy absorption{"AbsorptionLazy", ProvMode::kAbsorption,
                         ShipMode::kLazy};
-    RuntimeOptions opts = ShardedOptions(absorption, shards);
+    RuntimeOptions opts = ShardedOptions(absorption);
     opts.message_budget = 300;  // Exhausts mid-fixpoint.
-    ReachableRuntime rt(16, opts);
+    ReachableRuntime rt(ShardedNet(16, shards), 16, opts);
     for (const auto& [src, dst] : w.inserts) rt.InsertLink(src, dst);
     EXPECT_FALSE(rt.Run());
     return rt.router().stats();
@@ -382,9 +392,9 @@ TEST(ShardParityTest, DeadlineExceededDrainAbortsAtEveryShardCount) {
     SCOPED_TRACE(shards);
     Strategy absorption{"AbsorptionLazy", ProvMode::kAbsorption,
                         ShipMode::kLazy};
-    RuntimeOptions opts = ShardedOptions(absorption, shards);
+    RuntimeOptions opts = ShardedOptions(absorption);
     opts.time_budget_s = 1e-9;  // Expired before the first poll point.
-    ReachableRuntime rt(16, opts);
+    ReachableRuntime rt(ShardedNet(16, shards), 16, opts);
     for (const auto& [src, dst] : w.inserts) rt.InsertLink(src, dst);
     EXPECT_FALSE(rt.Run());
     NetworkStats stats = rt.router().stats();

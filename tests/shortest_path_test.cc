@@ -13,9 +13,15 @@ RuntimeOptions Opts() {
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
   opts.ship = ShipMode::kLazy;
-  opts.num_physical = 1000;
   opts.message_budget = 5'000'000;
   return opts;
+}
+
+// A private substrate of `n` nodes, one logical node per physical peer.
+std::shared_ptr<Substrate> Net(int n) {
+  SubstrateOptions deployment;
+  deployment.num_physical = 1000;
+  return std::make_shared<Substrate>(n, deployment);
 }
 
 void ExpectAggregatesMatchReference(const ShortestPathRuntime& rt, int n,
@@ -47,7 +53,7 @@ void ExpectAggregatesMatchReference(const ShortestPathRuntime& rt, int n,
 TEST(ShortestPathTest, DiamondPrefersCheaperRoute) {
   //   0 -> 1 (1.0) -> 3 (1.0)   total 2.0
   //   0 -> 2 (5.0) -> 3 (5.0)   total 10.0
-  ShortestPathRuntime rt(4, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(4), 4, Opts(), AggSelPolicy::kMulti);
   rt.InsertLink(0, 1, 1.0);
   rt.InsertLink(1, 3, 1.0);
   rt.InsertLink(0, 2, 5.0);
@@ -60,7 +66,7 @@ TEST(ShortestPathTest, DiamondPrefersCheaperRoute) {
 
 TEST(ShortestPathTest, CheapestAndFewestHopsCanDiffer) {
   // Direct hop is expensive; the detour is cheap but long.
-  ShortestPathRuntime rt(4, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(4), 4, Opts(), AggSelPolicy::kMulti);
   rt.InsertLink(0, 3, 10.0);
   rt.InsertLink(0, 1, 1.0);
   rt.InsertLink(1, 2, 1.0);
@@ -75,7 +81,7 @@ TEST(ShortestPathTest, CheapestAndFewestHopsCanDiffer) {
 }
 
 TEST(ShortestPathTest, UnreachablePairsHaveNoEntry) {
-  ShortestPathRuntime rt(3, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(3), 3, Opts(), AggSelPolicy::kMulti);
   rt.InsertLink(0, 1, 1.0);
   ASSERT_TRUE(rt.Run());
   EXPECT_FALSE(rt.MinCost(0, 2).has_value());
@@ -93,7 +99,8 @@ TEST_P(SpPolicyTest, RandomTopologyMatchesDijkstra) {
   topt.seed = 3;
   Topology topo = MakeTransitStub(topt);  // 10 nodes.
   std::vector<LinkTuple> links = DirectedLinks(topo);
-  ShortestPathRuntime rt(topo.num_nodes, Opts(), GetParam());
+  ShortestPathRuntime rt(Net(topo.num_nodes), topo.num_nodes, Opts(),
+                         GetParam());
   for (const LinkTuple& l : links) rt.InsertLink(l.src, l.dst, l.cost_ms);
   ASSERT_TRUE(rt.Run());
   bool cost = GetParam() != AggSelPolicy::kHops;
@@ -107,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, SpPolicyTest,
                                            AggSelPolicy::kHops));
 
 TEST(ShortestPathDeletionTest, DeletionReroutesToAlternative) {
-  ShortestPathRuntime rt(4, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(4), 4, Opts(), AggSelPolicy::kMulti);
   rt.InsertLink(0, 1, 1.0);
   rt.InsertLink(1, 3, 1.0);
   rt.InsertLink(0, 2, 5.0);
@@ -122,7 +129,7 @@ TEST(ShortestPathDeletionTest, DeletionReroutesToAlternative) {
 }
 
 TEST(ShortestPathDeletionTest, DeletionCanDisconnect) {
-  ShortestPathRuntime rt(3, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(3), 3, Opts(), AggSelPolicy::kMulti);
   rt.InsertLink(0, 1, 1.0);
   rt.InsertLink(1, 2, 1.0);
   ASSERT_TRUE(rt.Run());
@@ -141,7 +148,8 @@ TEST(ShortestPathDeletionTest, RandomDeletionsMatchDijkstra) {
   topt.seed = 5;
   Topology topo = MakeTransitStub(topt);  // 8 nodes.
   std::vector<LinkTuple> links = DirectedLinks(topo);
-  ShortestPathRuntime rt(topo.num_nodes, Opts(), AggSelPolicy::kMulti);
+  ShortestPathRuntime rt(Net(topo.num_nodes), topo.num_nodes, Opts(),
+                         AggSelPolicy::kMulti);
   for (const LinkTuple& l : links) rt.InsertLink(l.src, l.dst, l.cost_ms);
   ASSERT_TRUE(rt.Run());
   // Delete a third of the links one at a time, checking after each.
@@ -169,7 +177,7 @@ TEST(AggSelEffectivenessTest, NoAggSelShipsStrictlyMore) {
   auto run = [&](AggSelPolicy policy) {
     RuntimeOptions opts = Opts();
     opts.message_budget = 200'000;
-    ShortestPathRuntime rt(topo.num_nodes, opts, policy);
+    ShortestPathRuntime rt(Net(topo.num_nodes), topo.num_nodes, opts, policy);
     for (const LinkTuple& l : DirectedLinks(topo)) {
       rt.InsertLink(l.src, l.dst, l.cost_ms);
     }

@@ -48,7 +48,8 @@ TEST(SoftStateClockTest, EqualDeadlinesAllExpire) {
 TEST(SoftStateViewTest, ExpirationsDeleteIncrementally) {
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
-  SoftStateReachabilityView view(3, opts);
+  SoftStateReachabilityView view(
+      std::make_shared<Substrate>(3, SubstrateOptions{}), 3, opts);
   view.InsertLink(0, 1, /*ttl=*/10.0);
   view.InsertLink(1, 2, /*ttl=*/5.0);
   ASSERT_TRUE(view.Apply().ok());
@@ -69,8 +70,10 @@ TEST(SoftStateViewTest, ExpirationsDeleteIncrementally) {
 TEST(SoftStateViewTest, RenewalKeepsViewStableWithoutTraffic) {
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
-  opts.num_physical = 3;
-  SoftStateReachabilityView view(3, opts);
+  SubstrateOptions deployment;
+  deployment.num_physical = 3;
+  SoftStateReachabilityView view(std::make_shared<Substrate>(3, deployment),
+                                 3, opts);
   view.InsertLink(0, 1, 10.0);
   view.InsertLink(1, 2, 10.0);
   ASSERT_TRUE(view.Apply().ok());
@@ -90,7 +93,8 @@ TEST(SoftStateViewTest, RenewalKeepsViewStableWithoutTraffic) {
 TEST(SoftStateViewTest, MissedRefreshExpiresThenReinsertRestores) {
   RuntimeOptions opts;
   opts.prov = ProvMode::kAbsorption;
-  SoftStateReachabilityView view(3, opts);
+  SoftStateReachabilityView view(
+      std::make_shared<Substrate>(3, SubstrateOptions{}), 3, opts);
   view.InsertLink(0, 1, 5.0);
   view.InsertLink(1, 2, 5.0);
   ASSERT_TRUE(view.Apply().ok());

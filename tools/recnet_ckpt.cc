@@ -55,10 +55,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(header.checksum),
               verify ? " (verified)" : "");
   std::printf(
-      "  deployment: %d logical nodes on %d physical peers, %d shard(s), "
-      "batch delivery %s\n",
-      summary.num_nodes, summary.num_physical, summary.shards,
-      summary.batch_delivery ? "on" : "off");
+      "  deployment: %d logical nodes on %d physical peers, %d shard(s)\n",
+      summary.num_nodes, summary.num_physical, summary.shards);
   std::printf("  bdd: %u serialized node(s)\n", summary.bdd_nodes);
   std::printf("  relations (%zu):\n", summary.relations.size());
   for (const auto& rel : summary.relations) {
