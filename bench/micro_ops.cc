@@ -138,6 +138,50 @@ void BM_BddRestrictAbsent(benchmark::State& state) {
 }
 BENCHMARK(BM_BddRestrictAbsent)->Iterations(1000000);
 
+// The absorption test of every Fixpoint, join, MinShip and AggSel merge:
+// Leq of a product against a wide sum, over products the sum absorbs and
+// products it does not. Leq interns nothing, so the first (uncached) pass
+// over the pairs and the timed loop must leave the unique-table probe and
+// node-allocation counters exactly where they started, or the bench
+// hard-fails.
+void BM_BddLeq(benchmark::State& state) {
+  bdd::Manager mgr;
+  Rng rng(29);
+  std::vector<bdd::Bdd> products;
+  bdd::Bdd sum(&mgr, mgr.False());
+  for (int t = 0; t < 64; ++t) {
+    bdd::Var base = static_cast<bdd::Var>(rng.NextBounded(24));
+    bdd::Bdd p(&mgr, mgr.True());
+    for (bdd::Var j = 0; j < 4; ++j) {
+      p = p.And(bdd::Bdd(&mgr, mgr.MakeVar(base + j)));
+    }
+    // Half the products go into the sum; the rest are mostly not absorbed.
+    if (t % 2 == 0) sum = sum.Or(p);
+    products.push_back(p);
+  }
+  const uint64_t probes_before = mgr.unique_probes();
+  const size_t nodes_before = mgr.allocated_nodes();
+  size_t implied = 0;
+  for (const bdd::Bdd& p : products) {
+    implied += mgr.Leq(p.index(), sum.index()) ? 1 : 0;
+  }
+  if (implied == 0 || implied == products.size()) {
+    state.SkipWithError("Leq pairs are not a mix of implied and not");
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mgr.Leq(products[i].index(), sum.index()));
+    i = (i + 1) % products.size();
+  }
+  if (mgr.unique_probes() != probes_before) {
+    state.SkipWithError("Leq touched the unique table");
+  }
+  if (mgr.allocated_nodes() != nodes_before) {
+    state.SkipWithError("Leq allocated nodes");
+  }
+}
+BENCHMARK(BM_BddLeq)->Iterations(1000000);
+
 // Diff over complemented operands: Diff(¬a, ¬b) = And(¬a, b) recurses on
 // the same tagged pairs as earlier And calls, so after a warm-up pass the
 // steady state is pure op-cache hits — no materialized negation of either

@@ -79,7 +79,7 @@ void Manager::EnsureSegment(size_t seg) {
     Segment* s = new Segment();
     s->nodes = std::make_unique<Node[]>(kSegSize);
     s->refs = std::make_unique<std::atomic<uint32_t>[]>(kSegSize);
-    s->sigs = std::make_unique<uint32_t[]>(kSegSize);
+    s->sigs = std::make_unique<uint64_t[]>(kSegSize);
     for (size_t i = 0; i < kSegSize; ++i) {
       s->refs[i].store(0, std::memory_order_relaxed);
     }
@@ -258,9 +258,7 @@ BddRef Manager::Restrict(BddRef f, Var v, bool value) {
 BddRef Manager::RestrictAllFalse(BddRef f, const std::vector<Var>& vars) {
   // Most annotations a kill visits do not mention any killed variable; one
   // signature test answers for all of them.
-  uint32_t mask = 0;
-  for (Var v : vars) mask |= SigBit(v);
-  if ((SupportSignature(f) & mask) == 0) return f;
+  if ((SupportSignature(f) & SigMask(vars)) == 0) return f;
   // Pin each intermediate result across the next Restrict (which may GC).
   BddRef r = f;
   Ref(r);
@@ -271,6 +269,43 @@ BddRef Manager::RestrictAllFalse(BddRef f, const std::vector<Var>& vars) {
     r = next;
   }
   Deref(r);
+  return r;
+}
+
+bool Manager::Leq(BddRef a, BddRef b) {
+  // No GC poll and no in_operation_ guard: the recursion interns nothing,
+  // so it can neither trigger a collection nor be hurt by one.
+  return LeqRec(a, b, worker());
+}
+
+bool Manager::LeqRec(BddRef a, BddRef b, WorkerSlot& w) {
+  if (a == kFalse || b == kTrue || a == b) return true;
+  // a ≠ 0 cannot imply 0, 1 implies only 1, and a ≠ 0 never implies ¬a.
+  if (a == kTrue || b == kFalse || a == Not(b)) return false;
+  // Both internal. Disjoint supports make a and ¬b independent and both
+  // satisfiable, so a ∧ ¬b ≠ 0 (a clear signature AND proves disjointness).
+  if ((sig_at(a >> 1) & sig_at(b >> 1)) == 0) return false;
+  // a → b ≡ ¬b → ¬a: key on the lesser pair so both share one entry.
+  if (a > Not(b)) {
+    const BddRef na = Not(a);
+    a = Not(b);
+    b = na;
+  }
+  const uint64_t key = CacheKey(Op::kLeq, a, b);
+  BddRef cached;
+  if (CacheLookup(w, key, &cached)) return cached == kTrue;
+  const Node& na = node_at(a >> 1);
+  const Node& nb = node_at(b >> 1);
+  const uint32_t ca = a & 1u;
+  const uint32_t cb = b & 1u;
+  const Var top = std::min(na.var, nb.var);
+  const BddRef a_lo = (na.var == top) ? (na.low ^ ca) : a;
+  const BddRef a_hi = (na.var == top) ? (na.high ^ ca) : a;
+  const BddRef b_lo = (nb.var == top) ? (nb.low ^ cb) : b;
+  const BddRef b_hi = (nb.var == top) ? (nb.high ^ cb) : b;
+  // Short-circuit: the first failing cofactor pair is the counterexample.
+  const bool r = LeqRec(a_lo, b_lo, w) && LeqRec(a_hi, b_hi, w);
+  CacheStore(w, key, r ? kTrue : kFalse);
   return r;
 }
 
@@ -375,7 +410,7 @@ void Manager::Support(BddRef f, std::vector<Var>* vars) const {
 }
 
 bool Manager::DependsOn(BddRef f, Var v) const {
-  const uint32_t bit = SigBit(v);
+  const uint64_t bit = SigBit(v);
   if ((SupportSignature(f) & bit) == 0) return false;
   WorkerSlot& w = worker();
   BeginTraversal(w);

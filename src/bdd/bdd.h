@@ -157,6 +157,17 @@ class Manager {
   // variable.
   BddRef RestrictAllFalse(BddRef f, const std::vector<Var>& vars);
 
+  // Implication test a → b, i.e. a ∧ ¬b = 0 (equivalently a ∨ b = b: b
+  // absorbs a). Decided without building anything: a cached recursion over
+  // the cofactor pairs that stops at the first counterexample and never
+  // interns a node, so unique_probes(), allocated_nodes() and live_nodes()
+  // stay flat and no GC can trigger. A pair whose support signatures are
+  // disjoint is a counterexample at once (a ≠ 0 and b ≠ 1 are then
+  // independent). This is the absorption test of Algorithm 1 lines 17-25
+  // and Algorithm 3 lines 15-18 without the merged BDD that test would
+  // otherwise throw away.
+  bool Leq(BddRef a, BddRef b);
+
   // --- Inspection ----------------------------------------------------------
 
   // Both polarities of the terminal node: kTrue and kFalse.
@@ -176,12 +187,19 @@ class Manager {
   // Appends (sorted, deduplicated) the variables f depends on.
   void Support(BddRef f, std::vector<Var>* vars) const;
 
-  // The 32-bit support signature of f: bit (v & 31) is set for every
+  // The 64-bit support signature of f: bit (v & 63) is set for every
   // variable v in f's support (the terminal's signature is 0). A clear bit
   // proves v absent; a set bit may be a collision of two variables, which
   // only costs a walk. Polarity-independent.
-  static uint32_t SigBit(Var v) { return uint32_t{1} << (v & 31); }
-  uint32_t SupportSignature(BddRef f) const {
+  static uint64_t SigBit(Var v) { return uint64_t{1} << (v & 63); }
+  // The OR of SigBit over `vars`: f depends on none of them when
+  // SupportSignature(f) & SigMask(vars) is 0.
+  static uint64_t SigMask(const std::vector<Var>& vars) {
+    uint64_t mask = 0;
+    for (Var v : vars) mask |= SigBit(v);
+    return mask;
+  }
+  uint64_t SupportSignature(BddRef f) const {
     return IsTerminal(f) ? 0 : sig_at(f >> 1);
   }
 
@@ -326,7 +344,7 @@ class Manager {
     // immutable, so GC and bucket growth never touch it. A side array
     // rather than a Node field keeps Node at 16 bytes (cache-line aligned
     // probe chains), and a pruned Restrict step reads only this word.
-    std::unique_ptr<uint32_t[]> sigs;
+    std::unique_ptr<uint64_t[]> sigs;
   };
 
   struct alignas(64) Stripe {
@@ -354,9 +372,10 @@ class Manager {
   };
 
   // With complement edges one AND recursion serves And/Or/Diff (all three
-  // are ANDs over possibly-complemented refs), so only two ops key the
-  // cache.
-  enum class Op : uint8_t { kAnd = 0, kRestrict = 1 };
+  // are ANDs over possibly-complemented refs); Restrict and the
+  // non-constructive Leq have their own tags. A Leq entry stores kTrue or
+  // kFalse as its result.
+  enum class Op : uint8_t { kAnd = 0, kRestrict = 1, kLeq = 2 };
   static constexpr Var kTerminalVar = ~Var{0};
   // The single terminal: node index 0 represents TRUE (ref 0) and, through
   // its complemented ref 1, FALSE. It is virtual — never stored, never
@@ -384,7 +403,7 @@ class Manager {
     return spine_[n >> kSegBits].load(std::memory_order_acquire)
         ->refs[n & kSegMask];
   }
-  uint32_t& sig_at(NodeIndex n) const {
+  uint64_t& sig_at(NodeIndex n) const {
     if (n < kSegSize) return seg0_sigs_.load(std::memory_order_relaxed)[n];
     return spine_[n >> kSegBits].load(std::memory_order_acquire)
         ->sigs[n & kSegMask];
@@ -427,6 +446,7 @@ class Manager {
   // makes the op cache polarity-aware.
   BddRef ApplyAnd(BddRef a, BddRef b, WorkerSlot& w);
   BddRef RestrictRec(BddRef f, Var v, bool value, WorkerSlot& w);
+  bool LeqRec(BddRef a, BddRef b, WorkerSlot& w);
   void MaybeGc();
   void ClearCaches();
 
@@ -460,7 +480,7 @@ class Manager {
   // segment allocates, read relaxed on the hot path.
   mutable std::atomic<Node*> seg0_nodes_{nullptr};
   mutable std::atomic<std::atomic<uint32_t>*> seg0_refs_{nullptr};
-  mutable std::atomic<uint32_t*> seg0_sigs_{nullptr};
+  mutable std::atomic<uint64_t*> seg0_sigs_{nullptr};
   std::atomic<size_t> segments_allocated_{0};
   std::atomic<bool> seg_alloc_lock_{false};
   std::atomic<NodeIndex> next_index_{1};
@@ -538,6 +558,10 @@ class Bdd {
     return Bdd(mgr_, mgr_->RestrictAllFalse(idx_, vars));
   }
 
+  // 0 for a constant, including a null-manager one.
+  uint64_t SupportSignature() const {
+    return mgr_ == nullptr ? 0 : mgr_->SupportSignature(idx_);
+  }
   size_t CountNodes() const { return mgr_->CountNodes(idx_); }
   size_t SerializedSizeBytes() const {
     return mgr_ == nullptr ? 8 : mgr_->SerializedSizeBytes(idx_);

@@ -44,9 +44,8 @@ std::vector<Update> AggSel::ProcessInsert(const Tuple& tuple,
   // Lines 7-12: update buffered state H and P.
   auto [pit, is_new] = prov_.emplace(tuple, pv);
   if (!is_new) {
-    Prov merged = pit->second.Or(pv);
-    if (merged == pit->second) return out;  // Line 13: provenance unchanged.
-    pit->second = merged;
+    if (pv.Implies(pit->second)) return out;  // Line 13: provenance unchanged.
+    pit->second = pit->second.Or(pv);
   }
   Tuple group = GroupOf(tuple);
   GroupState& g = groups_[group];
@@ -121,13 +120,13 @@ std::vector<Update> AggSel::ProcessKill(const std::vector<bdd::Var>& killed) {
   // Restrict every buffered annotation; collect tuples whose annotation
   // became false.
   std::vector<Tuple> dead;
+  const uint64_t mask = bdd::Manager::SigMask(killed);
   for (auto it = prov_.begin(); it != prov_.end();) {
-    Prov next = it->second.RestrictFalse(killed);
-    if (next.IsFalse()) {
+    if (it->second.RestrictFalseInPlace(killed, mask) &&
+        it->second.IsFalse()) {
       dead.push_back(it->first);
       it = prov_.erase(it);
     } else {
-      it->second = next;
       ++it;
     }
   }

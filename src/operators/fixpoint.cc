@@ -15,31 +15,32 @@ std::optional<Prov> Fixpoint::ProcessInsert(const Tuple& tuple,
     return pv;
   }
   // Algorithm 1 lines 17-25: merge and propagate the non-absorbed delta.
-  Prov old_pv = it->second;
-  if (pv == old_pv) return std::nullopt;  // Trivially absorbed.
-  Prov merged = old_pv.Or(pv);
-  if (merged == old_pv) return std::nullopt;  // Fully absorbed.
-  it->second = merged;
+  // The absorption test builds nothing; the Or is built only when kept.
+  Prov& stored = it->second;
+  if (pv.Implies(stored)) return std::nullopt;  // Fully absorbed.
+  Prov merged = stored.Or(pv);
   // deltaPv = newPv ∧ ¬oldPv (line 19). Since newPv = oldPv ∨ pv, this
   // equals pv ∧ ¬oldPv — the same canonical function computed over the
   // (usually much smaller) incoming annotation instead of the merged one.
-  return pv.DeltaOver(old_pv);
+  Prov delta = pv.DeltaOver(stored);
+  stored = std::move(merged);
+  return delta;
 }
 
 Fixpoint::KillResult Fixpoint::ProcessKill(
     const std::vector<bdd::Var>& killed) {
   KillResult result;
+  const uint64_t mask = bdd::Manager::SigMask(killed);
   for (auto it = view_.begin(); it != view_.end();) {
-    Prov next = it->second.RestrictFalse(killed);
-    if (next.IsFalse()) {
-      result.removed.push_back(it->first);
-      result.changed = true;
-      it = view_.erase(it);
+    if (!it->second.RestrictFalseInPlace(killed, mask)) {
+      ++it;
       continue;
     }
-    if (!(next == it->second)) {
-      result.changed = true;
-      it->second = next;
+    result.changed = true;
+    if (it->second.IsFalse()) {
+      result.removed.push_back(it->first);
+      it = view_.erase(it);
+      continue;
     }
     ++it;
   }

@@ -66,10 +66,9 @@ std::vector<Update> PipelinedHashJoin::ProcessInsert(Side side,
     return Probe(side, tuple, delta_pv, UpdateType::kInsert);
   }
   // HalfPipeIns line 6: merge provenance; only a changed annotation
-  // produces output (line 8).
-  Prov merged = it->second.Or(delta_pv);
-  if (merged == it->second) return {};
-  it->second = merged;
+  // produces output (line 8). The absorption test builds no BDD.
+  if (delta_pv.Implies(it->second)) return {};
+  it->second = it->second.Or(delta_pv);
   return Probe(side, tuple, delta_pv, UpdateType::kInsert);
 }
 
@@ -89,16 +88,16 @@ std::vector<Update> PipelinedHashJoin::ProcessDelete(Side side,
 }
 
 void PipelinedHashJoin::ProcessKill(const std::vector<bdd::Var>& killed) {
+  const uint64_t mask = bdd::Manager::SigMask(killed);
   for (SideState& s : side_) {
     for (auto it = s.prov.begin(); it != s.prov.end();) {
-      Prov next = it->second.RestrictFalse(killed);
-      if (next.IsFalse()) {
+      if (it->second.RestrictFalseInPlace(killed, mask) &&
+          it->second.IsFalse()) {
         Tuple dead = it->first;
         it = s.prov.erase(it);
         RemoveFromIndex(&s, dead);
         continue;
       }
-      it->second = next;
       ++it;
     }
   }

@@ -42,28 +42,25 @@ void MinShip::ProcessInsert(const Tuple& tuple, const Prov& pv) {
   if (is_new) {
     // Algorithm 3 lines 11-13: first derivation ships right away.
     send_(tuple, pv);
-  } else if (ship_mode_ == ShipMode::kDirect) {
-    // Conventional Ship: forward every non-absorbed derivation.
-    Prov merged = sent->second.Or(pv);
-    if (!(merged == sent->second)) {
-      sent->second = merged;
+  } else if (!pv.Implies(sent->second)) {
+    // Not absorbed by what was shipped. The test builds no BDD; each Or
+    // below is built only where its result is used.
+    if (ship_mode_ == ShipMode::kDirect) {
+      // Conventional Ship: forward every non-absorbed derivation.
+      sent->second = sent->second.Or(pv);
       send_(tuple, pv);
-    }
-  } else {
-    // Lines 15-18: buffer unless already absorbed by what was shipped.
-    Prov merged = sent->second.Or(pv);
-    if (!(merged == sent->second)) {
-      auto [it, inserted] = pins_.emplace(tuple, pv);
-      if (!inserted) it->second = it->second.Or(pv);
+    } else {
       // Adaptive demotion: once this tuple's full annotation (shipped ∨
-      // buffered) is wider than the ceiling, eager re-shipping of it each
-      // batch window costs more Or-churn than its freshness is worth.
-      // Drop to lazy until quiescence (FlushIfDemoted re-arms).
+      // new) is wider than the ceiling, eager re-shipping of it each batch
+      // window costs more Or-churn than its freshness is worth.
       if (ship_mode_ == ShipMode::kEager && !demoted_ &&
-          AnnotationWidth(merged) > kEagerDemoteWidth) {
+          AnnotationWidth(sent->second.Or(pv)) > kEagerDemoteWidth) {
         demoted_ = true;
         ++demotions_;
       }
+      // Lines 15-18: buffer the derivation.
+      auto [it, inserted] = pins_.emplace(tuple, pv);
+      if (!inserted) it->second = it->second.Or(pv);
     }
   }
   if (ship_mode_ == ShipMode::kEager && !demoted_ &&
@@ -75,22 +72,22 @@ void MinShip::ProcessInsert(const Tuple& tuple, const Prov& pv) {
 void MinShip::ProcessKill(const std::vector<bdd::Var>& killed) {
   // Restrict the buffered (unshipped) derivations first (Algorithm 3
   // lines 20-25).
+  const uint64_t mask = bdd::Manager::SigMask(killed);
   for (auto it = pins_.begin(); it != pins_.end();) {
-    Prov next = it->second.RestrictFalse(killed);
-    if (next.IsFalse()) {
+    if (it->second.RestrictFalseInPlace(killed, mask) &&
+        it->second.IsFalse()) {
       it = pins_.erase(it);
     } else {
-      it->second = next;
       ++it;
     }
   }
   // A shipped derivation that dies is replaced by a surviving buffered
   // alternative, shipped immediately so downstream can re-derive
-  // (BatchShipLazy lines 6-12 applied at deletion time).
+  // (BatchShipLazy lines 6-12 applied at deletion time). Promotions go out
+  // in Bsent iteration order.
   for (auto it = bsent_.begin(); it != bsent_.end();) {
-    Prov next = it->second.RestrictFalse(killed);
-    if (!next.IsFalse()) {
-      it->second = next;
+    if (!it->second.RestrictFalseInPlace(killed, mask) ||
+        !it->second.IsFalse()) {
       ++it;
       continue;
     }
@@ -124,7 +121,7 @@ void MinShip::FlushIfDemoted() {
   // thrashes demote/flush cycles.
   for (auto it = pins_.begin(); it != pins_.end();) {
     auto sent = bsent_.find(it->first);
-    if (sent != bsent_.end() && sent->second.Or(it->second) == sent->second) {
+    if (sent != bsent_.end() && it->second.Implies(sent->second)) {
       it = pins_.erase(it);
     } else {
       ++it;

@@ -171,17 +171,44 @@ Prov Prov::DeltaOver(const Prov& o) const {
   return Prov();
 }
 
-Prov Prov::RestrictFalse(const std::vector<bdd::Var>& killed) const {
+bool Prov::Implies(const Prov& o) const {
+  RECNET_DCHECK(mode_ == o.mode_);
   switch (mode_) {
     case ProvMode::kSet:
-      // Set semantics cannot apply deletions locally (that is DRed's job).
-      return *this;
+      return !set_true_ || o.set_true_;
     case ProvMode::kAbsorption: {
-      // An annotation the kill does not change is returned as-is.
+      // A null-manager side is a constant, and the constant refs mean the
+      // same in every manager.
+      bdd::Manager* mgr =
+          bdd_.manager() != nullptr ? bdd_.manager() : o.bdd_.manager();
+      if (mgr == nullptr) return bdd_.IsFalse() || o.bdd_.IsTrue();
+      return mgr->Leq(bdd_.index(), o.bdd_.index());
+    }
+    case ProvMode::kRelative:
+      return std::includes(o.rel_->derivations.begin(),
+                           o.rel_->derivations.end(),
+                           rel_->derivations.begin(), rel_->derivations.end());
+  }
+  RECNET_CHECK(false);
+  return false;
+}
+
+Prov Prov::RestrictFalse(const std::vector<bdd::Var>& killed) const {
+  Prov out = *this;
+  out.RestrictFalseInPlace(killed, bdd::Manager::SigMask(killed));
+  return out;
+}
+
+bool Prov::RestrictFalseSlow(const std::vector<bdd::Var>& killed) {
+  switch (mode_) {
+    case ProvMode::kSet:
+      return false;
+    case ProvMode::kAbsorption: {
       bdd::Manager* mgr = bdd_.manager();
       bdd::BddRef r = mgr->RestrictAllFalse(bdd_.index(), killed);
-      if (r == bdd_.index()) return *this;
-      return FromBdd(bdd::Bdd(mgr, r));
+      if (r == bdd_.index()) return false;
+      bdd_ = bdd::Bdd(mgr, r);
+      return true;
     }
     case ProvMode::kRelative: {
       auto out = std::make_shared<RelSop>();
@@ -195,12 +222,13 @@ Prov Prov::RestrictFalse(const std::vector<bdd::Var>& killed) const {
         }
         if (!dead) out->derivations.push_back(d);
       }
-      if (out->derivations.size() == rel_->derivations.size()) return *this;
-      return FromRel(std::move(out));
+      if (out->derivations.size() == rel_->derivations.size()) return false;
+      rel_ = std::move(out);
+      return true;
     }
   }
   RECNET_CHECK(false);
-  return Prov();
+  return false;
 }
 
 bool Prov::IsFalse() const {

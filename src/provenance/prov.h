@@ -65,9 +65,33 @@ class Prov {
   // (Algorithm 1 line 19: deltaPv = newPv ∧ ¬oldPv). For the relative model
   // this is the set of derivations present here but not in `o`.
   Prov DeltaOver(const Prov& o) const;
+  // True iff this annotation adds nothing to `o`, i.e. Or(o) == o, decided
+  // without building the Or: the absorption test of Algorithm 1 lines
+  // 17-25 and Algorithm 3 lines 15-18. kSet: !this || o. kAbsorption:
+  // Boolean implication (bdd::Manager::Leq, which builds no node).
+  // kRelative: every derivation here is already listed in `o`. Either side
+  // may be a null-manager constant.
+  bool Implies(const Prov& o) const;
+
   // Deletion of base tuples: fix all `killed` variables to false
   // (Algorithm 1 line 30 and the BDD "restrict" of Section 4.2).
   Prov RestrictFalse(const std::vector<bdd::Var>& killed) const;
+
+  // RestrictFalse in place, for the operators' kill loops; `mask` is
+  // bdd::Manager::SigMask(killed), computed once per kill. Returns whether
+  // the annotation changed. An absorption annotation whose support
+  // signature misses `mask` returns after one AND, without copying a
+  // handle or touching a refcount; kSet annotations never change (set
+  // semantics cannot apply deletions locally: that is DRed's job).
+  bool RestrictFalseInPlace(const std::vector<bdd::Var>& killed,
+                            uint64_t mask) {
+    if (mode_ == ProvMode::kSet) return false;
+    if (mode_ == ProvMode::kAbsorption &&
+        (bdd_.SupportSignature() & mask) == 0) {
+      return false;
+    }
+    return RestrictFalseSlow(killed);
+  }
 
   // True iff no derivation survives — the tuple must leave the view.
   bool IsFalse() const;
@@ -96,6 +120,9 @@ class Prov {
 
  private:
   Prov(ProvMode mode, bool set_true) : mode_(mode), set_true_(set_true) {}
+
+  // RestrictFalseInPlace past the signature screen (kAbsorption, kRelative).
+  bool RestrictFalseSlow(const std::vector<bdd::Var>& killed);
 
   ProvMode mode_;
   bool set_true_ = false;                // kSet

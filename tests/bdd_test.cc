@@ -443,7 +443,7 @@ void ExpectExactSignatures(const Manager& mgr, BddRef root) {
     if (mgr.IsTerminal(f) || !seen.insert(f).second) continue;
     std::vector<Var> support;
     mgr.Support(f, &support);
-    uint32_t want = 0;
+    uint64_t want = 0;
     for (Var v : support) want |= Manager::SigBit(v);
     EXPECT_EQ(mgr.SupportSignature(f), want) << "node " << (f >> 1);
     stack.push_back(mgr.low_of(f) & ~1u);
@@ -451,10 +451,10 @@ void ExpectExactSignatures(const Manager& mgr, BddRef root) {
   }
 }
 
-// Variables chosen so that signature bits collide (1/33/65, 3/35, 8/40),
-// plus one variable no function uses but whose bit is shared (97 -> bit 1).
-constexpr Var kParityVars[] = {1, 3, 5, 8, 33, 35, 40, 65};
-constexpr Var kAbsentVar = 97;
+// Variables chosen so that signature bits collide (1/65/129, 3/67, 8/72),
+// plus one variable no function uses but whose bit is shared (193 -> bit 1).
+constexpr Var kParityVars[] = {1, 3, 5, 8, 65, 67, 72, 129};
+constexpr Var kAbsentVar = 193;
 constexpr size_t kNumParityVars = sizeof(kParityVars) / sizeof(Var);
 
 // A random function with complement edges throughout: literals of either
@@ -542,8 +542,8 @@ TEST_P(RestrictParityTest, RestrictMatchesEvaluateAcrossGc) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RestrictParityTest,
                          ::testing::Values(3, 17, 29, 41));
 
-// A wide function whose support misses every variable with v & 31 in
-// {6, 7, 30, 31}.
+// A wide function over variables 0..29 whose support misses 6, 7 and
+// every variable with v & 63 in [30, 63].
 BddRef WideFunction(Manager& mgr) {
   BddRef f = kFalse;
   for (Var v = 0; v < 30; v += 2) {
@@ -567,15 +567,116 @@ TEST_F(BddTest, RestrictOfAbsentSignatureBitLeavesCountersFlat) {
 }
 
 TEST_F(BddTest, SignatureCollisionCostsAWalkButNoProbes) {
-  // Variable 32 is absent, but its bit is var 0's: Restrict walks the
+  // Variable 64 is absent, but its bit is var 0's: Restrict walks the
   // function and finds nothing to change, so every node is reused as-is.
   BddRef f = WideFunction(mgr_);
   const uint64_t probes = mgr_.unique_probes();
   const uint64_t lookups = mgr_.cache_lookups();
-  EXPECT_EQ(mgr_.Restrict(f, 32, false), f);
-  EXPECT_FALSE(mgr_.DependsOn(f, 32));
+  EXPECT_EQ(mgr_.Restrict(f, 64, false), f);
+  EXPECT_FALSE(mgr_.DependsOn(f, 64));
   EXPECT_EQ(mgr_.unique_probes(), probes);
   EXPECT_GT(mgr_.cache_lookups(), lookups);
+}
+
+// ---------------------------------------------------------------------------
+// Leq: the implication test that builds nothing.
+// ---------------------------------------------------------------------------
+
+// Leq(a, b) agrees with Evaluate on every assignment of kParityVars (a
+// superset of both supports) and with Diff(a, b) == kFalse.
+void ExpectLeqParity(Manager& mgr, BddRef a, BddRef b) {
+  bool implied = true;
+  for (uint32_t asg = 0; asg < (1u << kNumParityVars) && implied; ++asg) {
+    std::unordered_map<Var, bool> truth;
+    for (size_t i = 0; i < kNumParityVars; ++i) {
+      truth[kParityVars[i]] = (asg >> i) & 1u;
+    }
+    if (mgr.Evaluate(a, truth) && !mgr.Evaluate(b, truth)) implied = false;
+  }
+  EXPECT_EQ(mgr.Leq(a, b), implied) << a << " -> " << b;
+  EXPECT_EQ(mgr.Leq(a, b), mgr.Diff(a, b) == kFalse) << a << " -> " << b;
+}
+
+class LeqParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LeqParityTest, LeqMatchesEvaluateAndDiffAcrossGc) {
+  Manager mgr;
+  Rng rng(GetParam());
+  std::vector<Bdd> kept;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      Bdd a(&mgr, RandomComplementFunction(mgr, rng));
+      Bdd b(&mgr, RandomComplementFunction(mgr, rng));
+      const Bdd both = a.And(b);
+      const Bdd either = a.Or(b);
+      // Random pairs are rarely implied; the derived ones always are.
+      const std::vector<std::pair<BddRef, BddRef>> pairs = {
+          {a.index(), b.index()},       {b.index(), a.index()},
+          {both.index(), a.index()},    {a.index(), either.index()},
+          {mgr.Not(either.index()), mgr.Not(a.index())},
+          {a.index(), a.index()},       {mgr.Not(a.index()), a.index()},
+          {kTrue, a.index()},           {a.index(), kFalse},
+          {kFalse, a.index()},          {a.index(), kTrue}};
+      for (const auto& [x, y] : pairs) ExpectLeqParity(mgr, x, y);
+      if (rng.NextBool(0.25)) {
+        kept.push_back(a);
+        kept.push_back(b);
+      }
+    }
+    // The collection clears the Leq cache entries and frees slots the next
+    // round's functions reuse.
+    ASSERT_GT(mgr.GarbageCollect(), 0u);
+    for (size_t i = 0; i + 1 < kept.size(); ++i) {
+      ExpectLeqParity(mgr, kept[i].index(), kept[i + 1].index());
+      ExpectLeqParity(mgr, kept[i + 1].index(), kept[i].index());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LeqParityTest,
+                         ::testing::Values(5, 19, 31, 47));
+
+TEST_F(BddTest, LeqAllocatesNothing) {
+  Rng rng(7);
+  std::vector<Bdd> fs;
+  for (int i = 0; i < 24; ++i) {
+    Bdd f(&mgr_, RandomComplementFunction(mgr_, rng));
+    fs.push_back(f);
+    fs.push_back(f.Or(fs.front()));  // Implied by f and by fs.front().
+  }
+  const size_t allocated = mgr_.allocated_nodes();
+  const size_t live = mgr_.live_nodes();
+  const uint64_t probes = mgr_.unique_probes();
+  const uint64_t gc_runs = mgr_.gc_runs();
+  size_t implied = 0;
+  size_t calls = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const Bdd& a : fs) {
+      for (const Bdd& b : fs) {
+        implied += mgr_.Leq(a.index(), b.index()) ? 1 : 0;
+        implied += mgr_.Leq(mgr_.Not(a.index()), b.index()) ? 1 : 0;
+        calls += 2;
+      }
+    }
+  }
+  EXPECT_GT(implied, 3 * fs.size());  // At least the diagonal, and more.
+  EXPECT_LT(implied, calls);
+  EXPECT_EQ(mgr_.allocated_nodes(), allocated);
+  EXPECT_EQ(mgr_.live_nodes(), live);
+  EXPECT_EQ(mgr_.unique_probes(), probes);
+  EXPECT_EQ(mgr_.gc_runs(), gc_runs);
+}
+
+TEST_F(BddTest, LeqOfDisjointSupportsNeedsNoLookup) {
+  // x0 ∧ x1 and x2 ∨ x3 share no variable: neither implies the other, and
+  // the signature test decides it at the root.
+  const BddRef a = mgr_.And(mgr_.MakeVar(0), mgr_.MakeVar(1));
+  const BddRef b = mgr_.Or(mgr_.MakeVar(2), mgr_.MakeVar(3));
+  const uint64_t lookups = mgr_.cache_lookups();
+  EXPECT_FALSE(mgr_.Leq(a, b));
+  EXPECT_FALSE(mgr_.Leq(b, a));
+  EXPECT_EQ(mgr_.cache_lookups(), lookups);
+  EXPECT_TRUE(mgr_.Leq(a, mgr_.Or(a, b)));
 }
 
 }  // namespace

@@ -469,6 +469,125 @@ TEST_F(AggSelTest, MaxAggregateWorks) {
   EXPECT_EQ(outs[0].tuple, t1);
 }
 
+// --- Kill scans --------------------------------------------------------------
+
+class KillScanTest : public ::testing::Test {
+ protected:
+  Prov Var(bdd::Var v) {
+    return Prov::BaseVar(ProvMode::kAbsorption, &mgr_, v);
+  }
+  static Tuple Path(int64_t s, int64_t d, double cost) {
+    std::vector<Value> v;
+    v.emplace_back(s);
+    v.emplace_back(d);
+    v.emplace_back(cost);
+    return Tuple(std::move(v));
+  }
+  MinShip LazyShip() {
+    return MinShip(ProvMode::kAbsorption, ShipMode::kLazy, 4,
+                   [this](const Tuple& t, const Prov& pv) {
+                     sent_.emplace_back(t, pv);
+                   });
+  }
+  bdd::Manager mgr_;
+  std::vector<std::pair<Tuple, Prov>> sent_;
+};
+
+// Every annotation below uses variables 1..12. Variable 40 is in none of
+// them and its 64-bit signature bit is clear everywhere (with 32-bit
+// signatures it would share variable 8's bit and cost a walk), so the kill
+// is screened out before any annotation is copied or restricted.
+TEST_F(KillScanTest, AbsentVariableLeavesStateAndCountersAlone) {
+  Fixpoint fix(ProvMode::kAbsorption);
+  fix.ProcessInsert(Tuple::OfInts({1, 2}), Var(1).And(Var(2)));
+  fix.ProcessInsert(Tuple::OfInts({1, 3}), Var(3).Or(Var(4)));
+  PipelinedHashJoin join(ProvMode::kAbsorption, {1}, {0},
+                         [](const Tuple& l, const Tuple& r) {
+                           return Tuple::OfInts({l.IntAt(0), r.IntAt(1)});
+                         });
+  join.ProcessInsert(PipelinedHashJoin::kLeft, Tuple::OfInts({1, 5}), Var(5));
+  join.ProcessInsert(PipelinedHashJoin::kRight, Tuple::OfInts({5, 9}),
+                     Var(6).And(Var(7)));
+  MinShip ship = LazyShip();
+  ship.ProcessInsert(Tuple::OfInts({1, 2}), Var(8));
+  ship.ProcessInsert(Tuple::OfInts({1, 2}), Var(9));  // Buffered.
+  AggSel agg(ProvMode::kAbsorption, {0, 1}, {{AggFn::kMin, 2}});
+  agg.ProcessInsert(Path(1, 2, 10.0), Var(10));
+  agg.ProcessInsert(Path(1, 2, 15.0), Var(11).And(Var(12)));
+
+  std::vector<std::pair<Tuple, Prov>> view(fix.contents().begin(),
+                                           fix.contents().end());
+  const std::vector<Update> joined =
+      join.Refire(PipelinedHashJoin::kLeft, Tuple::OfInts({1, 5}));
+  ASSERT_EQ(joined.size(), 1u);
+  const size_t join_bytes = join.StateSizeBytes();
+  const size_t ship_bytes = ship.StateSizeBytes();
+  const size_t agg_bytes = agg.StateSizeBytes();
+  const size_t sent = sent_.size();
+  const uint64_t probes = mgr_.unique_probes();
+  const uint64_t lookups = mgr_.cache_lookups();
+
+  const std::vector<bdd::Var> killed = {40};
+  Fixpoint::KillResult fix_result = fix.ProcessKill(killed);
+  join.ProcessKill(killed);
+  ship.ProcessKill(killed);
+  EXPECT_TRUE(agg.ProcessKill(killed).empty());
+
+  EXPECT_EQ(mgr_.unique_probes(), probes);
+  EXPECT_EQ(mgr_.cache_lookups(), lookups);
+  EXPECT_FALSE(fix_result.changed);
+  EXPECT_TRUE(fix_result.removed.empty());
+  ASSERT_EQ(fix.size(), view.size());
+  for (const auto& [tuple, pv] : view) {
+    ASSERT_NE(fix.Lookup(tuple), nullptr);
+    EXPECT_TRUE(*fix.Lookup(tuple) == pv);
+  }
+  const std::vector<Update> rejoined =
+      join.Refire(PipelinedHashJoin::kLeft, Tuple::OfInts({1, 5}));
+  ASSERT_EQ(rejoined.size(), 1u);
+  EXPECT_TRUE(rejoined[0].pv == joined[0].pv);
+  EXPECT_EQ(join.StateSizeBytes(), join_bytes);
+  EXPECT_EQ(sent_.size(), sent);
+  EXPECT_EQ(ship.buffered(), 1u);
+  EXPECT_EQ(ship.StateSizeBytes(), ship_bytes);
+  EXPECT_EQ(agg.buffered_tuples(), 2u);
+  EXPECT_EQ(agg.StateSizeBytes(), agg_bytes);
+}
+
+// A kill that hits shipped annotations promotes each dead tuple's buffered
+// alternate, in Bsent iteration order. A dead tuple without an alternate
+// is erased by swap-with-last, so the former last entry is visited next.
+TEST_F(KillScanTest, HittingKillPromotesBufferedAlternatesInBsentOrder) {
+  MinShip ship = LazyShip();
+  auto tuple = [](int64_t i) { return Tuple::OfInts({0, i}); };
+  auto own = [this](int64_t i) { return Var(static_cast<bdd::Var>(i)); };
+  // Shipped derivations depend on x100, except tuple 6's (untouched by the
+  // kill) and tuple 8's, which the kill narrows to x9 without killing it.
+  // Tuple 5 has no alternate, and tuple 7's only alternate dies with it.
+  for (int64_t i : {3, 5, 1, 6, 7, 4, 2}) {
+    ship.ProcessInsert(tuple(i), i == 6 ? own(i) : Var(100).And(own(i)));
+  }
+  ship.ProcessInsert(tuple(8), Var(100).And(own(8)).Or(Var(9)));
+  for (int64_t i : {3, 1, 6, 4, 2, 8}) {
+    ship.ProcessInsert(tuple(i), own(200 + i));
+  }
+  ship.ProcessInsert(tuple(7), Var(100).And(Var(300)));
+  ASSERT_EQ(sent_.size(), 8u);
+  ASSERT_EQ(ship.buffered(), 7u);
+  sent_.clear();
+
+  // Bsent is [3 5 1 6 7 4 2 8]. Erasing 5 moves 8 into its slot (it
+  // survives), and erasing 7 moves 2 into its slot (promoted before 4).
+  ship.ProcessKill({100});
+  const std::vector<int64_t> want = {3, 1, 2, 4};
+  ASSERT_EQ(sent_.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(sent_[k].first, tuple(want[k])) << "promotion " << k;
+    EXPECT_TRUE(sent_[k].second == own(200 + want[k])) << "promotion " << k;
+  }
+  EXPECT_EQ(ship.buffered(), 2u);  // Tuples 6 and 8 keep their alternates.
+}
+
 // --- GroupByAggregate --------------------------------------------------------
 
 TEST(GroupByTest, CountWithDeletions) {

@@ -951,7 +951,7 @@ void ExpectExactSignatures(const bdd::Manager& mgr, bdd::BddRef root) {
     if (mgr.IsTerminal(f) || !seen.insert(f).second) continue;
     std::vector<bdd::Var> support;
     mgr.Support(f, &support);
-    uint32_t want = 0;
+    uint64_t want = 0;
     for (bdd::Var v : support) want |= bdd::Manager::SigBit(v);
     EXPECT_EQ(mgr.SupportSignature(f), want) << "node " << (f >> 1);
     stack.push_back(mgr.low_of(f) & ~1u);
@@ -968,8 +968,8 @@ TEST(PersistCodecTest, DecodedNodesCarryExactSignatures) {
   for (int t = 0; t < 16; ++t) {
     bdd::BddRef p = bdd::kTrue;
     for (int j = 0; j < 3; ++j) {
-      // Variables up to 80 make signature bits collide.
-      p = mgr.And(p, mgr.MakeVar(static_cast<bdd::Var>(rng.NextBounded(80))));
+      // Variables up to 160 make signature bits collide.
+      p = mgr.And(p, mgr.MakeVar(static_cast<bdd::Var>(rng.NextBounded(160))));
     }
     roots.push_back(t == 0 ? p : mgr.Or(roots.back(), mgr.Not(p)));
   }

@@ -88,6 +88,49 @@ TEST_P(ProvModesTest, WireSizeBehaviour) {
   }
 }
 
+// Implies is the absorption test without the Or.
+TEST_P(ProvModesTest, ImpliesMatchesOrAbsorption) {
+  std::vector<Prov> ps = {Prov::True(mode(), &mgr_),
+                          Prov::False(mode(), &mgr_)};
+  for (bdd::Var v = 1; v <= 3; ++v) {
+    ps.push_back(Prov::BaseVar(mode(), &mgr_, v));
+  }
+  const Prov& p1 = ps[2];
+  const Prov& p2 = ps[3];
+  const Prov& p3 = ps[4];
+  ps.push_back(p1.And(p2));
+  ps.push_back(p1.Or(p2));
+  ps.push_back(p1.And(p2).Or(p3));
+  ps.push_back(p1.Or(p1.And(p3)));  // Absorbed to p1, except kRelative.
+  size_t implied = 0;
+  for (size_t i = 0; i < ps.size(); ++i) {
+    for (size_t j = 0; j < ps.size(); ++j) {
+      EXPECT_EQ(ps[i].Implies(ps[j]), ps[i].Or(ps[j]) == ps[j])
+          << ps[i].ToString() << " -> " << ps[j].ToString();
+      implied += ps[i].Implies(ps[j]) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(implied, ps.size());
+  if (mode() != ProvMode::kSet) {
+    EXPECT_LT(implied, ps.size() * ps.size());
+  }
+}
+
+// A null-manager True is the same function as the manager's True, but Or
+// requires both operands in one manager, so the expected value is computed
+// with the latter.
+TEST_P(ProvModesTest, ImpliesAcceptsNullManagerTrue) {
+  const Prov null_true = Prov::True(mode(), nullptr);
+  const Prov t = Prov::True(mode(), &mgr_);
+  const Prov p1 = Prov::BaseVar(mode(), &mgr_, 1);
+  const Prov p2 = Prov::BaseVar(mode(), &mgr_, 2);
+  for (const Prov& p : {t, Prov::False(mode(), &mgr_), p1, p1.And(p2)}) {
+    EXPECT_EQ(p.Implies(null_true), p.Or(t) == t) << p.ToString();
+    EXPECT_EQ(null_true.Implies(p), t.Or(p) == p) << p.ToString();
+  }
+  EXPECT_TRUE(null_true.Implies(null_true));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, ProvModesTest,
                          ::testing::Values(ProvMode::kSet,
                                            ProvMode::kAbsorption,
