@@ -1,14 +1,11 @@
 #ifndef RECNET_ENGINE_REACHABLE_RUNTIME_H_
 #define RECNET_ENGINE_REACHABLE_RUNTIME_H_
 
-#include <atomic>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/runtime_base.h"
-#include "operators/fixpoint.h"
 #include "operators/hash_join.h"
 
 namespace recnet {
@@ -39,10 +36,11 @@ class ReachableRuntime : public RuntimeBase {
   // after deletion creates a fresh base variable (soft-state renewal).
   void InsertLink(LogicalNode src, LogicalNode dst);
 
-  // Deletes link(src, dst). In the provenance modes this enqueues a kill of
-  // the link's variable; in set mode it enqueues DRed's over-deletion and
-  // schedules the re-derivation phase. Call Run() to propagate.
-  void DeleteLink(LogicalNode src, LogicalNode dst);
+  // Deletes link(src, dst); returns false when it is not alive. In the
+  // provenance modes this enqueues a kill of the link's variable; in set
+  // mode it enqueues DRed's over-deletion and schedules the re-derivation
+  // phase. Call Run() to propagate.
+  bool DeleteLink(LogicalNode src, LogicalNode dst);
 
   bool HasLink(LogicalNode src, LogicalNode dst) const;
 
@@ -50,20 +48,13 @@ class ReachableRuntime : public RuntimeBase {
 
   bool IsReachable(LogicalNode src, LogicalNode dst) const;
   std::set<LogicalNode> ReachableFrom(LogicalNode src) const;
-  size_t ViewSize() const;
 
   // Provenance annotation of reachable(src, dst), if present (provenance
   // modes only); supports "why is this tuple here" diagnostics.
   const Prov* ViewProvenance(LogicalNode src, LogicalNode dst) const;
 
-  // Reverse-maps a base variable to the live link it annotates (for
-  // rendering provenance witnesses).
-  std::optional<std::pair<LogicalNode, LogicalNode>> LinkOfVar(
-      bdd::Var v) const;
-
-  // Snapshot round-trip (see RuntimeBase::SaveState): appends the link
-  // table, the DRed bookkeeping, and every node's operator state. Defined
-  // in engine/runtime_persist.cc.
+  // Snapshot round-trip (see RuntimeBase::SaveState): appends DRed's link
+  // index and every node's join. Defined in engine/runtime_persist.cc.
   void SaveState(persist::SnapshotWriter& w) const override;
   Status LoadState(persist::SnapshotReader& r) override;
 
@@ -71,51 +62,31 @@ class ReachableRuntime : public RuntimeBase {
   // Vectorized delivery: one (dst, port) switch and node-state lookup per
   // run, with the operator applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  bool AfterQuiescent() override;
-  uint64_t CountShipDemotions() const override;
+  void KillRuleState(LogicalNode at,
+                     const std::vector<bdd::Var>& fresh) override;
+  void SeedRederivation() override;
   // Dynamic node-id space: extends the per-node operator state when the
   // substrate's topology grows (late facts mentioning unseen node ids).
   void OnTopologyGrown(int num_nodes) override;
-  size_t StateSizeBytes() const override;
+  size_t RuleStateBytes() const override;
 
  private:
-  struct NodeState {
-    std::unique_ptr<Fixpoint> fix;
-    std::unique_ptr<PipelinedHashJoin> join;
-    std::unique_ptr<MinShip> ship;
-  };
-
-  NodeState& node(LogicalNode n) { return nodes_[static_cast<size_t>(n)]; }
-  const NodeState& node(LogicalNode n) const {
-    return nodes_[static_cast<size_t>(n)];
+  PipelinedHashJoin& join(LogicalNode n) {
+    return *joins_[static_cast<size_t>(n)];
   }
 
-  // Builds node n's operator pipeline, sizing tables for `expected_nodes`.
-  void InitNode(int n, size_t expected_nodes);
+  // Builds node n's join, sizing tables for `expected_nodes`.
+  void InitJoin(int n, size_t expected_nodes);
 
-  // The handlers take the destination's NodeState, resolved once per
-  // delivery batch rather than once per envelope.
-  void ShipJoinOutputs(LogicalNode at, NodeState& state,
-                       std::vector<Update> outs);
-  void SendDirect(LogicalNode at, NodeState& state, Update out);
-  void HandleFixInsert(LogicalNode at, NodeState& state, const Tuple& tuple,
-                       const Prov& pv);
-  void HandleFixDelete(LogicalNode at, NodeState& state, const Tuple& tuple);
-  void HandleKill(LogicalNode at, NodeState& state,
-                  const std::vector<bdd::Var>& killed);
-  void SeedRederivation();
+  void ShipJoinOutputs(LogicalNode at, std::vector<Update> outs);
+  void SendDirect(LogicalNode at, Update out);
+  void HandleFixInsert(LogicalNode at, const Tuple& tuple, const Prov& pv);
+  void HandleFixDelete(LogicalNode at, const Tuple& tuple);
 
-  std::vector<NodeState> nodes_;
-  // Alive links and their base variables (set mode stores var 0 sentinels).
-  std::unordered_map<Tuple, bdd::Var, TupleHash> link_vars_;
+  // Per node: the distributed join link(x, y) ⋈ reachable(y, z).
+  std::vector<std::unique_ptr<PipelinedHashJoin>> joins_;
   // Alive links grouped by source (for DRed re-derivation's base case).
   std::vector<std::vector<LogicalNode>> links_by_src_;
-  bool rederive_pending_ = false;
-  // Relative mode: a kill happened; run the derivability traversal at
-  // quiescence to collect cyclically self-supported tuples. Atomic: set by
-  // parallel shard workers in HandleKill, consumed at the quiescence
-  // barrier.
-  std::atomic<bool> relative_check_pending_{false};
 };
 
 }  // namespace recnet

@@ -1,15 +1,12 @@
 #ifndef RECNET_ENGINE_REGION_RUNTIME_H_
 #define RECNET_ENGINE_REGION_RUNTIME_H_
 
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/runtime_base.h"
-#include "operators/fixpoint.h"
 #include "operators/group_by.h"
 #include "topology/sensor_grid.h"
 
@@ -39,16 +36,17 @@ class RegionRuntime : public RuntimeBase {
                 const RuntimeOptions& options);
 
   // Marks sensor as triggered / untriggered (inserts or deletes the
-  // isTriggered(sensor) base fact). Call Run() to propagate.
+  // isTriggered(sensor) base fact, keyed as the 1-tuple (sensor)). Untrigger
+  // returns false when the sensor was not triggered. Call Run() to
+  // propagate.
   void Trigger(int sensor);
-  void Untrigger(int sensor);
+  bool Untrigger(int sensor);
   bool IsTriggered(int sensor) const;
 
   // --- View access ----------------------------------------------------------
 
   bool InRegion(int region, int sensor) const;
   std::set<int> RegionMembers(int region) const;
-  size_t ViewSize() const;
 
   // regionSizes(region): current member count, from the distributed count
   // view (0 when the region is empty).
@@ -65,70 +63,44 @@ class RegionRuntime : public RuntimeBase {
   // witnesses.
   const Prov* ViewProvenance(int region, int sensor) const;
 
-  // Reverse-maps a base variable to the live isTriggered(sensor) fact it
-  // annotates (for rendering provenance witnesses).
-  std::optional<int> SensorOfVar(bdd::Var v) const;
-
-  // Snapshot round-trip (see RuntimeBase::SaveState): appends the trigger
-  // variables, the aggregate views, and every sensor node's operator state.
-  // Defined in engine/runtime_persist.cc.
+  // Snapshot round-trip (see RuntimeBase::SaveState): appends the aggregate
+  // views. Defined in engine/runtime_persist.cc.
   void SaveState(persist::SnapshotWriter& w) const override;
   Status LoadState(persist::SnapshotReader& r) override;
 
  protected:
-  // Vectorized delivery: one (dst, port) switch and node-state lookup per
-  // run, with the operator applied across the whole batch.
+  // Vectorized delivery: one (dst, port) switch per run, with the operator
+  // applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  bool AfterQuiescent() override;
-  uint64_t CountShipDemotions() const override;
-  size_t StateSizeBytes() const override;
+  // A membership leaving the view also leaves its region's count.
+  void OnViewRowRemoved(LogicalNode at, const Tuple& row) override;
+  void SeedRederivation() override;
+  size_t RuleStateBytes() const override;
 
  private:
-  struct NodeState {
-    std::unique_ptr<Fixpoint> fix;
-    std::unique_ptr<MinShip> ship;
-    // Aggregator state for regions owned by this node: region -> count.
-    std::unique_ptr<GroupByAggregate> region_sizes;
-  };
-
-  NodeState& node(LogicalNode n) { return nodes_[static_cast<size_t>(n)]; }
-  const NodeState& node(LogicalNode n) const {
-    return nodes_[static_cast<size_t>(n)];
-  }
-
-  // Builds the per-sensor operator pipelines (shared by both ctors).
-  void InitNodes();
-
   LogicalNode AggOwner(int region) const {
     return static_cast<LogicalNode>(region % num_logical());
   }
 
-  // The handlers take the destination's NodeState, resolved once per
-  // delivery batch rather than once per envelope.
-  void HandleActiveInsert(LogicalNode at, NodeState& state, const Tuple& tuple,
-                          const Prov& pv);
-  void HandleActiveDelete(LogicalNode at, NodeState& state,
-                          const Tuple& tuple);
-  void HandleKill(LogicalNode at, NodeState& state,
-                  const std::vector<bdd::Var>& killed);
+  // The base variable of isTriggered(sensor), or nullptr.
+  const bdd::Var* TriggerVar(int sensor) const {
+    return BaseVar(Tuple::OfInts({sensor}));
+  }
+
+  void HandleActiveInsert(LogicalNode at, const Tuple& tuple, const Prov& pv);
+  void HandleActiveDelete(LogicalNode at, const Tuple& tuple);
   // Derives neighbors of x from activeRegion(r, x), given x is triggered.
-  void ExpandFrom(LogicalNode x, NodeState& state, const Tuple& active,
-                  const Prov& pv);
+  void ExpandFrom(LogicalNode x, const Tuple& active, const Prov& pv);
   void NotifyViewInsert(LogicalNode at, const Tuple& active);
-  void NotifyViewDelete(LogicalNode at, const Tuple& active);
-  void SeedRederivation();
 
   SensorField field_;
-  std::vector<NodeState> nodes_;
-  // Trigger fact variable per sensor (nullopt = not triggered).
-  std::vector<std::optional<bdd::Var>> trig_var_;
+  // Per sensor node: regionSizes state for the regions it owns
+  // (region -> count).
+  std::vector<std::unique_ptr<GroupByAggregate>> region_sizes_;
   // seeds_of_[x] = region ids whose main sensor is x.
   std::vector<std::vector<int>> seeds_of_;
   // Node 0's largestRegion state: region -> size.
   std::unordered_map<int, int64_t> sizes_at_root_;
-  bool rederive_pending_ = false;
-  // Set by parallel shard workers in HandleKill, consumed at quiescence.
-  std::atomic<bool> relative_check_pending_{false};
 };
 
 }  // namespace recnet

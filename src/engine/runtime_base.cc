@@ -8,8 +8,9 @@
 namespace recnet {
 
 RuntimeBase::RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
-                         const RuntimeOptions& options)
-    : opts_(options), sub_(std::move(substrate)) {
+                         const RuntimeOptions& options, size_t ship_dest_col,
+                         size_t node_reserve)
+    : opts_(options), sub_(std::move(substrate)), ship_dest_col_(ship_dest_col) {
   RECNET_CHECK(sub_ != nullptr);
   // Grow the shared node-id space first (only other views are notified —
   // this one is being built at the requested size), then claim a port
@@ -22,17 +23,172 @@ RuntimeBase::RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
   kills_done_.resize(static_cast<size_t>(num_logical));
   view_delta_logs_.resize(
       static_cast<size_t>(sub_->router().num_shards()));
+  view_nodes_.resize(static_cast<size_t>(num_logical));
+  for (int n = 0; n < num_logical; ++n) InitViewNode(n, node_reserve);
 }
 
 RuntimeBase::~RuntimeBase() {
   if (sub_ != nullptr) sub_->Detach(this);
 }
 
-void RuntimeBase::GrowKillRouting(int num_nodes) {
-  if (num_nodes <= num_logical_) return;
+void RuntimeBase::InitViewNode(int n, size_t reserve) {
+  ViewNode& node = view_nodes_[static_cast<size_t>(n)];
+  node.fix = std::make_unique<Fixpoint>(opts_.prov);
+  node.fix->Reserve(reserve);
+  // DRed (set mode) ships directly, like the conventional Ship operator;
+  // the provenance schemes use MinShip.
+  ShipMode ship_mode =
+      opts_.prov == ProvMode::kSet ? ShipMode::kDirect : opts_.ship;
+  node.ship = std::make_unique<MinShip>(
+      opts_.prov, ship_mode, opts_.batch_window,
+      [this, n](const Tuple& tuple, const Prov& pv) {
+        LogicalNode dest =
+            static_cast<LogicalNode>(tuple.IntAt(ship_dest_col_));
+        ShipInsert(n, dest, kPortFix, tuple, pv);
+      });
+  node.ship->Reserve(reserve);
+}
+
+bool RuntimeBase::GrowNodes(int num_nodes) {
+  if (num_nodes <= num_logical_) return false;
+  int old_nodes = num_logical_;
   num_logical_ = num_nodes;
   subs_.resize(static_cast<size_t>(num_nodes));
   kills_done_.resize(static_cast<size_t>(num_nodes));
+  view_nodes_.resize(static_cast<size_t>(num_nodes));
+  for (int n = old_nodes; n < num_nodes; ++n) {
+    InitViewNode(n, static_cast<size_t>(num_nodes));
+  }
+  return true;
+}
+
+size_t RuntimeBase::ViewSize() const {
+  size_t total = 0;
+  for (const ViewNode& node : view_nodes_) total += node.fix->size();
+  return total;
+}
+
+size_t RuntimeBase::StateSizeBytes() const {
+  size_t bytes = RuleStateBytes();
+  for (const ViewNode& node : view_nodes_) {
+    bytes += node.fix->StateSizeBytes() + node.ship->StateSizeBytes();
+  }
+  return bytes;
+}
+
+uint64_t RuntimeBase::CountShipDemotions() const {
+  uint64_t total = 0;
+  for (const ViewNode& node : view_nodes_) total += node.ship->demotions();
+  return total;
+}
+
+// --- Base facts ----------------------------------------------------------------
+
+std::optional<bdd::Var> RuntimeBase::AddBaseFact(const Tuple& fact) {
+  if (base_facts_.find(fact) != base_facts_.end()) return std::nullopt;
+  bdd::Var v = AllocVar();
+  base_facts_.emplace(fact, v);
+  return v;
+}
+
+const bdd::Var* RuntimeBase::BaseVar(const Tuple& fact) const {
+  auto it = base_facts_.find(fact);
+  return it == base_facts_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::pair<Tuple, bdd::Var>> RuntimeBase::TakeBaseFacts(
+    const Tuple& key, bool by_prefix) {
+  std::vector<std::pair<Tuple, bdd::Var>> taken;
+  if (!by_prefix) {
+    auto it = base_facts_.find(key);
+    if (it != base_facts_.end()) {
+      taken.emplace_back(it->first, it->second);
+      base_facts_.erase(it);
+    }
+    return taken;
+  }
+  for (auto it = base_facts_.begin(); it != base_facts_.end();) {
+    const Tuple& fact = it->first;
+    bool match = fact.size() >= key.size();
+    for (size_t i = 0; match && i < key.size(); ++i) {
+      match = fact.at(i) == key.at(i);
+    }
+    if (match) {
+      taken.emplace_back(fact, it->second);
+      it = base_facts_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  // Table order is layout-dependent; allocation order is not.
+  std::sort(taken.begin(), taken.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  return taken;
+}
+
+std::optional<Tuple> RuntimeBase::BaseFactOfVar(bdd::Var v) const {
+  for (const auto& [fact, var] : base_facts_) {
+    if (var == v) return fact;
+  }
+  return std::nullopt;
+}
+
+// --- Kill cascade and quiescence ------------------------------------------------
+
+void RuntimeBase::DeliverBatch(const Envelope* envs, size_t n) {
+  if (LocalPort(envs[0]) != kPortKill) {
+    HandleBatch(envs, n);
+    return;
+  }
+  LogicalNode at = envs[0].dst;
+  for (size_t i = 0; i < n; ++i) HandleKill(at, envs[i].update.killed);
+}
+
+void RuntimeBase::HandleKill(LogicalNode at,
+                             const std::vector<bdd::Var>& killed) {
+  std::vector<bdd::Var> fresh = AcceptKill(at, killed);
+  if (fresh.empty()) return;
+  Fixpoint::KillResult result = fix(at).ProcessKill(fresh);
+  for (const Tuple& removed : result.removed) OnViewRowRemoved(at, removed);
+  KillRuleState(at, fresh);
+  ship(at).ProcessKill(fresh);
+  if (opts_.prov == ProvMode::kRelative) {
+    // Removed tuples invalidate the derivations that reference them.
+    for (const Tuple& removed : result.removed) OnTupleRemoved(at, removed);
+    relative_check_pending_ = true;
+  }
+}
+
+bool RuntimeBase::AfterQuiescent() {
+  // Demoted MinShips compact their buffers against the shipped state now
+  // that the insert storm has drained (no traffic is generated).
+  for (ViewNode& node : view_nodes_) node.ship->FlushIfDemoted();
+  if (rederive_pending_) {
+    rederive_pending_ = false;
+    SeedRederivation();
+    return true;
+  }
+  if (relative_check_pending_) {
+    // The derivation-graph traversal of relative provenance: the kill
+    // cascade removed everything reference-counting can remove; tuples
+    // surviving only through cyclic self-support are found by the global
+    // derivability fixpoint and force-removed.
+    relative_check_pending_ = false;
+    std::vector<ViewEntry> view;
+    for (LogicalNode n = 0; n < num_logical_; ++n) {
+      for (const auto& [tuple, pv] : fix(n).contents()) {
+        view.push_back(ViewEntry{n, &tuple, &pv});
+      }
+    }
+    auto underivable = FindUnderivable(view);
+    for (const auto& [owner, tuple] : underivable) {
+      fix(owner).ProcessDelete(tuple);
+      OnViewRowRemoved(owner, tuple);
+      OnTupleRemoved(owner, tuple);
+    }
+    return !underivable.empty();
+  }
+  return false;
 }
 
 bool RuntimeBase::Run() {
@@ -162,6 +318,19 @@ void RuntimeBase::SaveState(persist::SnapshotWriter& w) const {
   raw.Bool(converged_);
   raw.Bool(abort_metrics_.has_value());
   if (abort_metrics_.has_value()) w.PutMetrics(*abort_metrics_);
+  // Base facts (lookup-only: TakeBaseFacts orders by variable).
+  raw.U64(base_facts_.size());
+  for (const auto& [fact, var] : base_facts_) {
+    w.PutTuple(fact);
+    raw.U32(var);
+  }
+  raw.Bool(rederive_pending_);
+  raw.Bool(relative_check_pending_);
+  raw.U32(static_cast<uint32_t>(view_nodes_.size()));
+  for (const ViewNode& node : view_nodes_) {
+    node.fix->SaveState(w);
+    node.ship->SaveState(w);
+  }
 }
 
 Status RuntimeBase::LoadState(persist::SnapshotReader& r) {
@@ -219,6 +388,26 @@ Status RuntimeBase::LoadState(persist::SnapshotReader& r) {
     abort_metrics_ = r.GetMetrics();
   } else {
     abort_metrics_.reset();
+  }
+  RECNET_CHECK(base_facts_.empty());
+  uint64_t num_facts = raw.Count(4);
+  base_facts_.reserve(num_facts);
+  for (uint64_t i = 0; i < num_facts && raw.ok(); ++i) {
+    Tuple fact = r.GetTuple();
+    bdd::Var var = raw.U32();
+    base_facts_.emplace(std::move(fact), var);
+  }
+  rederive_pending_ = raw.Bool();
+  relative_check_pending_ = raw.Bool();
+  uint32_t num_view_nodes = raw.U32();
+  if (raw.ok() && num_view_nodes != view_nodes_.size()) {
+    return Status::InvalidArgument(
+        "snapshot operator state spans a different node count than the "
+        "reconstructed runtime");
+  }
+  for (uint32_t n = 0; n < num_view_nodes && raw.ok(); ++n) {
+    RECNET_RETURN_IF_ERROR(view_nodes_[n].fix->LoadState(r));
+    RECNET_RETURN_IF_ERROR(view_nodes_[n].ship->LoadState(r));
   }
   return r.Check("runtime base state");
 }

@@ -17,6 +17,7 @@
 #include "engine/metrics.h"
 #include "engine/substrate.h"
 #include "net/router.h"
+#include "operators/fixpoint.h"
 #include "operators/min_ship.h"
 #include "operators/update.h"
 
@@ -63,8 +64,20 @@ struct RuntimeOptions {
 
 // Common machinery of the distributed query runtimes: substrate access
 // (router + BDD manager + base-variable allocation), the view-scoped port
-// namespace, view-scoped deletion ("kill") routing, and run/metrics
-// bookkeeping.
+// namespace, view-scoped deletion ("kill") routing, run/metrics bookkeeping,
+// and the half of every plan that does not depend on the query's rules:
+//
+//   * each logical node's Fixpoint (its view partition) and MinShip (the
+//     shipping edge into the recursive view);
+//   * the base-fact table (live base tuple <-> base variable);
+//   * the kill cascade on kPortKill (AcceptKill, fixpoint kill, the rules'
+//     own kill via KillRuleState, MinShip kill, relative bookkeeping);
+//   * the quiescence hook (demoted-MinShip flush, DRed's re-derivation
+//     phase via SeedRederivation, relative provenance's derivability sweep);
+//   * persistence of all of the above.
+//
+// A runtime subclass adds only its rules: the join or proximity expansion,
+// aggregate selection, the aggregate views, DRed's seed set, its read API.
 //
 // A runtime attaches to a Substrate as one view: the only view of a private
 // substrate (`std::make_shared<Substrate>(n, SubstrateOptions{})`) or one
@@ -82,10 +95,6 @@ struct RuntimeOptions {
 // case" (Section 4).
 class RuntimeBase {
  public:
-  // Attaches to `substrate` as one view spanning `num_logical` of the
-  // substrate's nodes (the substrate grows to at least that many).
-  RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
-              const RuntimeOptions& options);
   virtual ~RuntimeBase();
 
   RuntimeBase(const RuntimeBase&) = delete;
@@ -111,15 +120,23 @@ class RuntimeBase {
   // separately from initial computation.
   void ResetMetrics();
 
+  // Tuples in the recursive view, summed over every node's partition.
+  size_t ViewSize() const;
+
+  // Reverse-maps a base variable to the live base fact it annotates (for
+  // rendering provenance witnesses); nullopt for dead or foreign variables.
+  std::optional<Tuple> BaseFactOfVar(bdd::Var v) const;
+
   // --- Persistence ----------------------------------------------------------
   //
   // Snapshot round-trip of the view's mutable state: the base implementation
   // covers the shared machinery (kill-subscription routing, kill dedup sets,
-  // relative-provenance pseudo-variables, run bookkeeping); runtime
-  // subclasses override to append their operator state and MUST call the
-  // base implementation first. LoadState requires a freshly constructed
-  // runtime of the same program, options, and topology — it refuses (with
-  // InvalidArgument) when the recorded shape disagrees.
+  // relative-provenance pseudo-variables, run bookkeeping, the base-fact
+  // table, the pending quiescence work, and every node's Fixpoint and
+  // MinShip); runtime subclasses override to append their rules' operator
+  // state and MUST call the base implementation first. LoadState requires a
+  // freshly constructed runtime of the same program, options, and topology —
+  // it refuses (with InvalidArgument) when the recorded shape disagrees.
   virtual void SaveState(persist::SnapshotWriter& w) const;
   virtual Status LoadState(persist::SnapshotReader& r);
 
@@ -173,26 +190,87 @@ class RuntimeBase {
   const std::string& last_fault() const { return last_fault_; }
 
  protected:
+  // Attaches to `substrate` as one view spanning `num_logical` of the
+  // substrate's nodes (the substrate grows to at least that many) and
+  // builds each node's Fixpoint and MinShip, with tables pre-sized for
+  // `node_reserve` tuples. The MinShip routes a shipped tuple to the node
+  // named by its column `ship_dest_col`. DRed (kSet) ships directly; the
+  // provenance modes use RuntimeOptions::ship.
+  RuntimeBase(std::shared_ptr<Substrate> substrate, int num_logical,
+              const RuntimeOptions& options, size_t ship_dest_col,
+              size_t node_reserve);
+
   // Delivers a contiguous run of same-(dst, port) envelopes: every envelope
   // of a run targets the same logical node and operator input, so the query
   // runtimes hoist the per-destination/per-port state lookups out of the
-  // inner loop and apply the operator across the whole run.
+  // inner loop and apply the operator across the whole run. Kill runs
+  // (kPortKill) never reach it: the base's kill cascade handles them.
   virtual void HandleBatch(const Envelope* envs, size_t n) = 0;
 
-  // Hook called at quiescence; return true to continue draining (used by
-  // DRed to start its re-derivation phase after over-deletion finishes).
-  // On a shared substrate every attached view is polled each round.
-  virtual bool AfterQuiescent() { return false; }
-
   // Called when the substrate's node-id space grows to `num_nodes`.
-  // Graph-shaped runtimes override to extend their per-node state (and must
-  // call GrowKillRouting); deployment-bound runtimes (region) keep their
-  // fixed span and ignore it.
+  // Graph-shaped runtimes override to call GrowNodes and extend their rules'
+  // per-node state; deployment-bound runtimes (region) keep their fixed
+  // span and ignore it.
   virtual void OnTopologyGrown(int num_nodes) { (void)num_nodes; }
 
-  // Extends the view's kill-routing tables (and num_logical()) to
-  // `num_nodes`. Called by OnTopologyGrown overrides.
-  void GrowKillRouting(int num_nodes);
+  // Extends the view (kill routing, Fixpoints, MinShips, num_logical()) to
+  // `num_nodes`. Returns false when the view already spans that many.
+  bool GrowNodes(int num_nodes);
+
+  // --- Rule hooks -------------------------------------------------------------
+
+  // Called for every tuple a kill or the derivability sweep removes from a
+  // node's view partition. The default records the view delta; runtimes
+  // that maintain aggregates over the view also retract from them.
+  virtual void OnViewRowRemoved(LogicalNode at, const Tuple& row) {
+    (void)at;
+    LogViewDelta(row, /*added=*/false);
+  }
+  // Restricts the rules' own operators (join, aggregate selection) at node
+  // `at` by the freshly killed variables. Runs between the Fixpoint kill and
+  // the MinShip kill.
+  virtual void KillRuleState(LogicalNode at,
+                             const std::vector<bdd::Var>& fresh) {
+    (void)at;
+    (void)fresh;
+  }
+  // DRed re-derivation (paper Figure 5, steps 5-8): re-fires the rules over
+  // the surviving base and view tuples. Called at quiescence after
+  // RequestRederivation.
+  virtual void SeedRederivation() {}
+  // Schedules DRed's re-derivation phase for the next quiescence.
+  void RequestRederivation() { rederive_pending_ = true; }
+  // Bytes held by the rules' own operators, across all nodes.
+  virtual size_t RuleStateBytes() const = 0;
+
+  // --- Per-node view operators ----------------------------------------------
+
+  Fixpoint& fix(LogicalNode n) {
+    return *view_nodes_[static_cast<size_t>(n)].fix;
+  }
+  const Fixpoint& fix(LogicalNode n) const {
+    return *view_nodes_[static_cast<size_t>(n)].fix;
+  }
+  MinShip& ship(LogicalNode n) {
+    return *view_nodes_[static_cast<size_t>(n)].ship;
+  }
+
+  // --- Base facts -------------------------------------------------------------
+  //
+  // The view's live base facts, keyed by the full fact tuple, with the base
+  // variable annotating each. A fact's variable is allocated on insertion
+  // (in every mode, so variable ids are mode-independent) and retired on
+  // deletion; re-inserting a deleted fact allocates a fresh one.
+
+  // Registers `fact` and returns its new variable; nullopt if it is alive.
+  std::optional<bdd::Var> AddBaseFact(const Tuple& fact);
+  // The variable of live fact `fact`, or nullptr.
+  const bdd::Var* BaseVar(const Tuple& fact) const;
+  // Erases live base facts and returns them with their variables, in
+  // allocation order: the fact equal to `key`, or — with `by_prefix` —
+  // every fact whose leading columns equal `key`.
+  std::vector<std::pair<Tuple, bdd::Var>> TakeBaseFacts(const Tuple& key,
+                                                        bool by_prefix = false);
 
   // Records one recursive-view membership change (no-op unless logging is
   // enabled). Runtimes call this at every point a tuple enters or leaves
@@ -205,14 +283,6 @@ class RuntimeBase {
     }
   }
   bool view_delta_logging() const { return log_view_deltas_; }
-
-  // Total bytes of operator state across all logical nodes.
-  virtual size_t StateSizeBytes() const = 0;
-
-  // Total eager→lazy absorption demotions across the view's MinShips (see
-  // kEagerDemoteWidth). Runtimes with shipping operators override; 0 means
-  // the view never crossed the width threshold.
-  virtual uint64_t CountShipDemotions() const { return 0; }
 
   // --- Namespaced transport -------------------------------------------------
   //
@@ -267,12 +337,6 @@ class RuntimeBase {
   // Starts a kill at `origin` (the deleted base tuple's home node).
   void StartKill(LogicalNode origin, std::vector<bdd::Var> killed);
 
-  // Splits `killed` into variables this node has not yet processed, marks
-  // them processed, and forwards them along subscription edges. Returns the
-  // fresh set the caller should restrict its operators with.
-  std::vector<bdd::Var> AcceptKill(LogicalNode at,
-                                   const std::vector<bdd::Var>& killed);
-
   // --- Relative provenance (derivation-edge model) --------------------------
   //
   // The relative-provenance baseline [14] records, per view tuple, its
@@ -292,8 +356,45 @@ class RuntimeBase {
   bdd::Var TupleVar(const Tuple& t);
   // The singleton annotation {TupleVar(t)} used as a derivation reference.
   Prov RefProv(const Tuple& t);
-  // Called when view tuple `t` (owned by `owner`) leaves the view: kills
-  // its pseudo-variable so derivations referencing it die everywhere.
+
+  RuntimeOptions opts_;
+
+ private:
+  friend class Substrate;
+
+  struct ViewNode {
+    std::unique_ptr<Fixpoint> fix;
+    std::unique_ptr<MinShip> ship;
+  };
+
+  // Substrate entry point (delivery dispatch): kills run the shared
+  // cascade, everything else the runtime's rules.
+  void DeliverBatch(const Envelope* envs, size_t n);
+
+  // Hook called at quiescence; returns true to continue draining. Flushes
+  // demoted MinShips, then runs one pending phase: DRed's re-derivation, or
+  // relative provenance's derivability sweep. On a shared substrate every
+  // attached view is polled each round.
+  bool AfterQuiescent();
+
+  // Builds node n's Fixpoint and MinShip, sized for `reserve` tuples.
+  void InitViewNode(int n, size_t reserve);
+
+  // The kill cascade at node `at`, in a fixed order: AcceptKill, Fixpoint
+  // kill (OnViewRowRemoved per removed row), KillRuleState, MinShip kill
+  // (its promotions are enqueued after the forwarded kills, so FIFO order
+  // delivers the kill first at every destination), relative bookkeeping.
+  void HandleKill(LogicalNode at, const std::vector<bdd::Var>& killed);
+
+  // Splits `killed` into variables this node has not yet processed, marks
+  // them processed, and forwards them along subscription edges. Returns the
+  // fresh set the caller should restrict its operators with.
+  std::vector<bdd::Var> AcceptKill(LogicalNode at,
+                                   const std::vector<bdd::Var>& killed);
+
+  // Called when view tuple `t` (owned by `owner`) leaves the view under
+  // relative provenance: kills its pseudo-variable so derivations
+  // referencing it die everywhere.
   void OnTupleRemoved(LogicalNode owner, const Tuple& t);
 
   struct ViewEntry {
@@ -307,13 +408,11 @@ class RuntimeBase {
   std::vector<std::pair<LogicalNode, Tuple>> FindUnderivable(
       const std::vector<ViewEntry>& view) const;
 
-  RuntimeOptions opts_;
-
- private:
-  friend class Substrate;
-
-  // Substrate entry point (delivery dispatch).
-  void DeliverBatch(const Envelope* envs, size_t n) { HandleBatch(envs, n); }
+  // Total bytes of operator state across all logical nodes.
+  size_t StateSizeBytes() const;
+  // Total eager→lazy absorption demotions across the view's MinShips (see
+  // kEagerDemoteWidth); 0 means the view never crossed the threshold.
+  uint64_t CountShipDemotions() const;
 
   // Drain-side budget abort: called by the shared drain's fair-share
   // arbitration the moment this view's own deliveries exhaust its message
@@ -331,6 +430,17 @@ class RuntimeBase {
   int ns_ = 0;         // Port namespace id on the substrate's router.
   int port_base_ = 0;  // ns_ * Router::kPortsPerNamespace.
   int num_logical_ = 0;
+  size_t ship_dest_col_ = 0;
+  std::vector<ViewNode> view_nodes_;
+  // Live base facts and their variables.
+  std::unordered_map<Tuple, bdd::Var, TupleHash> base_facts_;
+  // DRed: an over-deletion happened; re-derive at quiescence.
+  bool rederive_pending_ = false;
+  // Relative mode: a kill happened; run the derivability traversal at
+  // quiescence to collect cyclically self-supported tuples. Atomic: set by
+  // parallel shard workers in HandleKill, consumed at the quiescence
+  // barrier.
+  std::atomic<bool> relative_check_pending_{false};
   // Variables THIS view killed (fast path for GuardIncoming; the full dead
   // set is the substrate's). Atomic: parallel shard workers kill
   // concurrently during a drain.

@@ -1,10 +1,10 @@
 // Snapshot round-trips for the query runtimes. Each override appends to the
-// base-class section (kill routing, pseudo-variables, run bookkeeping) the
-// runtime's own tables and every node's operator state, in iteration order,
-// so a restored runtime's message trajectory is bit-identical to the saved
-// one's. LoadState expects a freshly constructed runtime of the same
-// program, options, and topology and refuses shape mismatches with
-// InvalidArgument.
+// base-class section (kill routing, pseudo-variables, run bookkeeping, base
+// facts, every node's Fixpoint and MinShip, which also pins the node count)
+// the state of the runtime's own rules, in iteration order, so a restored
+// runtime's message trajectory is bit-identical to the saved one's.
+// LoadState expects a freshly constructed runtime of the same program,
+// options, and topology and refuses shape mismatches with InvalidArgument.
 
 #include <utility>
 
@@ -18,89 +18,38 @@ namespace recnet {
 void ReachableRuntime::SaveState(persist::SnapshotWriter& w) const {
   RuntimeBase::SaveState(w);
   persist::Writer& raw = w.raw();
-  raw.U64(link_vars_.size());
-  for (const auto& [tuple, var] : link_vars_) {
-    w.PutTuple(tuple);
-    raw.U32(var);
-  }
   // DRed's re-derivation base case fires links in exactly this order.
-  raw.U32(static_cast<uint32_t>(links_by_src_.size()));
   for (const auto& dsts : links_by_src_) {
     raw.U32(static_cast<uint32_t>(dsts.size()));
     for (LogicalNode d : dsts) raw.I32(d);
   }
-  raw.Bool(rederive_pending_);
-  raw.Bool(relative_check_pending_);
-  raw.U32(static_cast<uint32_t>(nodes_.size()));
-  for (const NodeState& state : nodes_) {
-    raw.Bool(state.fix != nullptr);
-    if (state.fix == nullptr) continue;
-    state.fix->SaveState(w);
-    state.join->SaveState(w);
-    state.ship->SaveState(w);
-  }
+  for (const auto& join : joins_) join->SaveState(w);
 }
 
 Status ReachableRuntime::LoadState(persist::SnapshotReader& r) {
   RECNET_RETURN_IF_ERROR(RuntimeBase::LoadState(r));
   persist::Reader& raw = r.raw();
-  RECNET_CHECK(link_vars_.empty());
-  uint64_t nlinks = raw.Count(4);
-  link_vars_.reserve(nlinks);
-  for (uint64_t i = 0; i < nlinks && raw.ok(); ++i) {
-    Tuple tuple = r.GetTuple();
-    bdd::Var var = raw.U32();
-    link_vars_.emplace(std::move(tuple), var);
-  }
-  uint32_t nsrc = raw.U32();
-  if (raw.ok() && nsrc != links_by_src_.size()) {
-    return Status::InvalidArgument(
-        "snapshot link table spans a different node count than the "
-        "reconstructed runtime");
-  }
-  for (uint32_t n = 0; n < nsrc && raw.ok(); ++n) {
+  for (auto& dsts : links_by_src_) {
     uint32_t ndsts = raw.U32();
     if (!raw.CanRead(static_cast<size_t>(ndsts) * 4)) break;
-    std::vector<LogicalNode>& dsts = links_by_src_[n];
     RECNET_CHECK(dsts.empty());
     dsts.reserve(ndsts);
     for (uint32_t j = 0; j < ndsts; ++j) dsts.push_back(raw.I32());
   }
-  rederive_pending_ = raw.Bool();
-  relative_check_pending_ = raw.Bool();
-  uint32_t nnodes = raw.U32();
-  if (raw.ok() && nnodes != nodes_.size()) {
-    return Status::InvalidArgument(
-        "snapshot operator state spans a different node count than the "
-        "reconstructed runtime");
-  }
-  for (uint32_t n = 0; n < nnodes && raw.ok(); ++n) {
-    if (!raw.Bool()) continue;
-    if (nodes_[n].fix == nullptr) {
-      InitNode(static_cast<int>(n), nodes_.size());
-    }
-    RECNET_RETURN_IF_ERROR(nodes_[n].fix->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].join->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].ship->LoadState(r));
+  for (auto& join : joins_) {
+    if (!raw.ok()) break;
+    RECNET_RETURN_IF_ERROR(join->LoadState(r));
   }
   return r.Check("reachable runtime state");
 }
 
 void ShortestPathRuntime::SaveState(persist::SnapshotWriter& w) const {
   RuntimeBase::SaveState(w);
-  persist::Writer& raw = w.raw();
-  raw.U64(link_vars_.size());
-  for (const auto& [tuple, var] : link_vars_) {
-    w.PutTuple(tuple);
-    raw.U32(var);
-  }
-  raw.U32(static_cast<uint32_t>(nodes_.size()));
-  for (const NodeState& state : nodes_) {
-    raw.Bool(state.fix != nullptr);
-    if (state.fix == nullptr) continue;
-    state.fix->SaveState(w);
+  // The AggSel pair exists exactly when policy_ != kNone, which the
+  // reconstructed runtime shares.
+  for (const RuleNode& state : nodes_) {
     state.join->SaveState(w);
-    state.ship->SaveState(w);
+    if (state.agg_fix == nullptr) continue;
     state.agg_fix->SaveState(w);
     state.agg_ship->SaveState(w);
   }
@@ -108,31 +57,12 @@ void ShortestPathRuntime::SaveState(persist::SnapshotWriter& w) const {
 
 Status ShortestPathRuntime::LoadState(persist::SnapshotReader& r) {
   RECNET_RETURN_IF_ERROR(RuntimeBase::LoadState(r));
-  persist::Reader& raw = r.raw();
-  RECNET_CHECK(link_vars_.empty());
-  uint64_t nlinks = raw.Count(4);
-  link_vars_.reserve(nlinks);
-  for (uint64_t i = 0; i < nlinks && raw.ok(); ++i) {
-    Tuple tuple = r.GetTuple();
-    bdd::Var var = raw.U32();
-    link_vars_.emplace(std::move(tuple), var);
-  }
-  uint32_t nnodes = raw.U32();
-  if (raw.ok() && nnodes != nodes_.size()) {
-    return Status::InvalidArgument(
-        "snapshot operator state spans a different node count than the "
-        "reconstructed runtime");
-  }
-  for (uint32_t n = 0; n < nnodes && raw.ok(); ++n) {
-    if (!raw.Bool()) continue;
-    if (nodes_[n].fix == nullptr) {
-      InitNode(static_cast<int>(n), nodes_.size());
-    }
-    RECNET_RETURN_IF_ERROR(nodes_[n].fix->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].join->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].ship->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].agg_fix->LoadState(r));
-    RECNET_RETURN_IF_ERROR(nodes_[n].agg_ship->LoadState(r));
+  for (RuleNode& state : nodes_) {
+    if (!r.raw().ok()) break;
+    RECNET_RETURN_IF_ERROR(state.join->LoadState(r));
+    if (state.agg_fix == nullptr) continue;
+    RECNET_RETURN_IF_ERROR(state.agg_fix->LoadState(r));
+    RECNET_RETURN_IF_ERROR(state.agg_ship->LoadState(r));
   }
   return r.Check("shortest-path runtime state");
 }
@@ -140,11 +70,6 @@ Status ShortestPathRuntime::LoadState(persist::SnapshotReader& r) {
 void RegionRuntime::SaveState(persist::SnapshotWriter& w) const {
   RuntimeBase::SaveState(w);
   persist::Writer& raw = w.raw();
-  raw.U32(static_cast<uint32_t>(trig_var_.size()));
-  for (const std::optional<bdd::Var>& v : trig_var_) {
-    raw.Bool(v.has_value());
-    if (v.has_value()) raw.U32(*v);
-  }
   // sizes_at_root_ iteration order is observable (LargestRegions walks it),
   // so reproduce it with the reverse-insertion bucket trick (see
   // MinShip::LoadState).
@@ -154,31 +79,12 @@ void RegionRuntime::SaveState(persist::SnapshotWriter& w) const {
     raw.I32(region);
     raw.I64(size);
   }
-  raw.Bool(rederive_pending_);
-  raw.Bool(relative_check_pending_);
-  raw.U32(static_cast<uint32_t>(nodes_.size()));
-  for (const NodeState& state : nodes_) {
-    raw.Bool(state.fix != nullptr);
-    if (state.fix != nullptr) state.fix->SaveState(w);
-    raw.Bool(state.ship != nullptr);
-    if (state.ship != nullptr) state.ship->SaveState(w);
-    raw.Bool(state.region_sizes != nullptr);
-    if (state.region_sizes != nullptr) state.region_sizes->SaveState(w);
-  }
+  for (const auto& sizes : region_sizes_) sizes->SaveState(w);
 }
 
 Status RegionRuntime::LoadState(persist::SnapshotReader& r) {
   RECNET_RETURN_IF_ERROR(RuntimeBase::LoadState(r));
   persist::Reader& raw = r.raw();
-  uint32_t ntrig = raw.U32();
-  if (raw.ok() && ntrig != trig_var_.size()) {
-    return Status::InvalidArgument(
-        "snapshot trigger state spans a different sensor count than the "
-        "reconstructed runtime");
-  }
-  for (uint32_t i = 0; i < ntrig && raw.ok(); ++i) {
-    if (raw.Bool()) trig_var_[i] = raw.U32();
-  }
   uint64_t buckets = raw.U64();
   uint64_t nsizes = raw.Count(3);
   std::vector<std::pair<int, int64_t>> saved_sizes;
@@ -193,36 +99,9 @@ Status RegionRuntime::LoadState(persist::SnapshotReader& r) {
   for (auto it = saved_sizes.rbegin(); it != saved_sizes.rend(); ++it) {
     sizes_at_root_.emplace(it->first, it->second);
   }
-  rederive_pending_ = raw.Bool();
-  relative_check_pending_ = raw.Bool();
-  uint32_t nnodes = raw.U32();
-  if (raw.ok() && nnodes != nodes_.size()) {
-    return Status::InvalidArgument(
-        "snapshot operator state spans a different node count than the "
-        "reconstructed runtime");
-  }
-  for (uint32_t n = 0; n < nnodes && raw.ok(); ++n) {
-    NodeState& state = nodes_[n];
-    // InitNodes() is deterministic from the field, so the reconstructed
-    // operator layout must equal the saved one exactly.
-    if (raw.Bool() != (state.fix != nullptr) && raw.ok()) {
-      return Status::InvalidArgument("snapshot operator layout mismatch");
-    }
-    if (state.fix != nullptr) {
-      RECNET_RETURN_IF_ERROR(state.fix->LoadState(r));
-    }
-    if (raw.Bool() != (state.ship != nullptr) && raw.ok()) {
-      return Status::InvalidArgument("snapshot operator layout mismatch");
-    }
-    if (state.ship != nullptr) {
-      RECNET_RETURN_IF_ERROR(state.ship->LoadState(r));
-    }
-    if (raw.Bool() != (state.region_sizes != nullptr) && raw.ok()) {
-      return Status::InvalidArgument("snapshot operator layout mismatch");
-    }
-    if (state.region_sizes != nullptr) {
-      RECNET_RETURN_IF_ERROR(state.region_sizes->LoadState(r));
-    }
+  for (auto& sizes : region_sizes_) {
+    if (!raw.ok()) break;
+    RECNET_RETURN_IF_ERROR(sizes->LoadState(r));
   }
   return r.Check("region runtime state");
 }

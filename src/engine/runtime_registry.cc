@@ -166,14 +166,17 @@ class ReachableAdapter : public QueryRuntime {
     return Status::OK();
   }
 
-  Status DeleteFact(const std::string& relation, const Tuple& fact) override {
+  Status DeleteFact(const std::string& relation, const Tuple& fact,
+                    std::vector<Tuple>* deleted) override {
     RECNET_RETURN_IF_ERROR(CheckLink(relation, fact, /*grow=*/false));
     if (fact.IntAt(0) >= rt_.num_logical() ||
         fact.IntAt(1) >= rt_.num_logical()) {
       return Status::OK();  // Unknown node: the link cannot exist.
     }
-    rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
-                   static_cast<LogicalNode>(fact.IntAt(1)));
+    if (rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
+                       static_cast<LogicalNode>(fact.IntAt(1)))) {
+      deleted->push_back(fact);
+    }
     return Status::OK();
   }
 
@@ -201,35 +204,14 @@ class ReachableAdapter : public QueryRuntime {
 
   StatusOr<std::vector<Tuple>> Explain(const Tuple& view_tuple) const override {
     RECNET_RETURN_IF_ERROR(CheckArity(plan_.view, view_tuple, 2));
-    if (rt_.options().prov != ProvMode::kAbsorption) {
-      return Status::Unimplemented(
-          "provenance witnesses require ProvMode::kAbsorption");
-    }
     RECNET_RETURN_IF_ERROR(
         CheckNode(plan_.view, view_tuple, 0, rt_.num_logical()));
     RECNET_RETURN_IF_ERROR(
         CheckNode(plan_.view, view_tuple, 1, rt_.num_logical()));
-    LogicalNode src = static_cast<LogicalNode>(view_tuple.IntAt(0));
-    LogicalNode dst = static_cast<LogicalNode>(view_tuple.IntAt(1));
-    const Prov* pv = rt_.ViewProvenance(src, dst);
-    if (pv == nullptr) {
-      return Status::NotFound("tuple " + view_tuple.ToString() +
-                              " is not in view '" + plan_.view + "'");
-    }
-    std::vector<std::pair<bdd::Var, bool>> assignment;
-    const bdd::Bdd& b = pv->bdd();
-    if (!b.manager()->AnyWitness(b.index(), &assignment)) {
-      return Status::NotFound("no witness for " + view_tuple.ToString());
-    }
-    std::vector<Tuple> links;
-    for (const auto& [var, value] : assignment) {
-      if (!value) continue;
-      auto link = rt_.LinkOfVar(var);
-      if (link.has_value()) {
-        links.push_back(Tuple::OfInts({link->first, link->second}));
-      }
-    }
-    return links;
+    return Witness(plan_.view, view_tuple,
+                   rt_.ViewProvenance(
+                       static_cast<LogicalNode>(view_tuple.IntAt(0)),
+                       static_cast<LogicalNode>(view_tuple.IntAt(1))));
   }
 
  private:
@@ -259,30 +241,33 @@ class ShortestPathAdapter : public QueryRuntime {
 
   Status InsertFact(const std::string& relation, const Tuple& fact) override {
     RECNET_RETURN_IF_ERROR(GrowEndpoints(relation, fact, 3));
-    const Value& cost = fact.at(plan_.cost_col);
-    if (!cost.is_int() && !cost.is_double()) {
-      return Status::InvalidArgument("relation '" + relation +
-                                     "' cost column must be numeric, got " +
-                                     cost.ToString());
-    }
+    RECNET_RETURN_IF_ERROR(CheckCost(relation, fact));
     rt_.InsertLink(static_cast<LogicalNode>(fact.IntAt(0)),
-                   static_cast<LogicalNode>(fact.IntAt(1)),
-                   cost.is_int() ? static_cast<double>(cost.AsInt())
-                                 : cost.AsDouble());
+                   static_cast<LogicalNode>(fact.IntAt(1)), CostOf(fact));
     return Status::OK();
   }
 
-  Status DeleteFact(const std::string& relation, const Tuple& fact) override {
-    // Deletion is keyed by the link endpoints; the cost column is optional.
+  Status DeleteFact(const std::string& relation, const Tuple& fact,
+                    std::vector<Tuple>* deleted) override {
+    // A full fact deletes that link; the endpoints alone delete every link
+    // between them, whatever its cost.
     RECNET_RETURN_IF_ERROR(GrowEndpoints(relation, fact,
                                          fact.size() == 2 ? 2 : 3,
                                          /*grow=*/false));
+    std::optional<double> cost;
+    if (fact.size() == 3) {
+      RECNET_RETURN_IF_ERROR(CheckCost(relation, fact));
+      cost = CostOf(fact);
+    }
     if (fact.IntAt(0) >= rt_.num_logical() ||
         fact.IntAt(1) >= rt_.num_logical()) {
       return Status::OK();  // Unknown node: the link cannot exist.
     }
-    rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
-                   static_cast<LogicalNode>(fact.IntAt(1)));
+    for (Tuple& link : rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
+                                      static_cast<LogicalNode>(fact.IntAt(1)),
+                                      cost)) {
+      deleted->push_back(std::move(link));
+    }
     return Status::OK();
   }
 
@@ -403,11 +388,7 @@ class ShortestPathAdapter : public QueryRuntime {
     LogicalNode src = static_cast<LogicalNode>(view_tuple.IntAt(0));
     LogicalNode dst = static_cast<LogicalNode>(view_tuple.IntAt(1));
     const Prov* pv = rt_.ViewProvenance(src, dst);
-    if (pv == nullptr) {
-      return Status::NotFound("tuple " + view_tuple.ToString() +
-                              " is not in view '" + plan_.view + "'");
-    }
-    if (view_tuple.size() == 3) {
+    if (pv != nullptr && view_tuple.size() == 3) {
       std::optional<double> cost = rt_.MinCost(src, dst);
       if (!cost.has_value() ||
           !ValuesEqualNumeric(view_tuple.at(2), Value(*cost))) {
@@ -415,21 +396,25 @@ class ShortestPathAdapter : public QueryRuntime {
                                 " is not in view '" + plan_.view + "'");
       }
     }
-    std::vector<std::pair<bdd::Var, bool>> assignment;
-    const bdd::Bdd& b = pv->bdd();
-    if (!b.manager()->AnyWitness(b.index(), &assignment)) {
-      return Status::NotFound("no witness for " + view_tuple.ToString());
-    }
-    std::vector<Tuple> links;
-    for (const auto& [var, value] : assignment) {
-      if (!value) continue;
-      std::optional<Tuple> link = rt_.LinkOfVar(var);
-      if (link.has_value()) links.push_back(std::move(*link));
-    }
-    return links;
+    return Witness(plan_.view, view_tuple, pv);
   }
 
  private:
+  Status CheckCost(const std::string& relation, const Tuple& fact) const {
+    const Value& cost = fact.at(plan_.cost_col);
+    if (!cost.is_int() && !cost.is_double()) {
+      return Status::InvalidArgument("relation '" + relation +
+                                     "' cost column must be numeric, got " +
+                                     cost.ToString());
+    }
+    return Status::OK();
+  }
+
+  double CostOf(const Tuple& fact) const {
+    const Value& cost = fact.at(plan_.cost_col);
+    return cost.is_int() ? static_cast<double>(cost.AsInt()) : cost.AsDouble();
+  }
+
   // Read path: endpoints must name existing nodes.
   Status CheckEndpoints(const std::string& relation, const Tuple& fact,
                         size_t arity) const {
@@ -469,9 +454,12 @@ class RegionAdapter : public QueryRuntime {
     return Status::OK();
   }
 
-  Status DeleteFact(const std::string& relation, const Tuple& fact) override {
+  Status DeleteFact(const std::string& relation, const Tuple& fact,
+                    std::vector<Tuple>* deleted) override {
     RECNET_RETURN_IF_ERROR(CheckTrigger(relation, fact));
-    rt_.Untrigger(static_cast<int>(fact.IntAt(0)));
+    if (rt_.Untrigger(static_cast<int>(fact.IntAt(0)))) {
+      deleted->push_back(fact);
+    }
     return Status::OK();
   }
 
@@ -504,10 +492,6 @@ class RegionAdapter : public QueryRuntime {
     // trigger plus a contiguous triggered chain to it). Completes the trio
     // with the reachable and shortest-path adapters.
     RECNET_RETURN_IF_ERROR(CheckArity(plan_.view, view_tuple, 2));
-    if (rt_.options().prov != ProvMode::kAbsorption) {
-      return Status::Unimplemented(
-          "provenance witnesses require ProvMode::kAbsorption");
-    }
     if (!view_tuple.at(0).is_int() || view_tuple.IntAt(0) < 0 ||
         view_tuple.IntAt(0) >= rt_.num_regions()) {
       return Status::OutOfRange("region id " + view_tuple.at(0).ToString() +
@@ -516,27 +500,9 @@ class RegionAdapter : public QueryRuntime {
     }
     RECNET_RETURN_IF_ERROR(
         CheckNode(plan_.view, view_tuple, 1, rt_.num_logical()));
-    int region = static_cast<int>(view_tuple.IntAt(0));
-    int sensor = static_cast<int>(view_tuple.IntAt(1));
-    const Prov* pv = rt_.ViewProvenance(region, sensor);
-    if (pv == nullptr) {
-      return Status::NotFound("tuple " + view_tuple.ToString() +
-                              " is not in view '" + plan_.view + "'");
-    }
-    std::vector<std::pair<bdd::Var, bool>> assignment;
-    const bdd::Bdd& b = pv->bdd();
-    if (!b.manager()->AnyWitness(b.index(), &assignment)) {
-      return Status::NotFound("no witness for " + view_tuple.ToString());
-    }
-    std::vector<Tuple> triggers;
-    for (const auto& [var, value] : assignment) {
-      if (!value) continue;
-      std::optional<int> trigger = rt_.SensorOfVar(var);
-      if (trigger.has_value()) {
-        triggers.push_back(Tuple::OfInts({*trigger}));
-      }
-    }
-    return triggers;
+    return Witness(plan_.view, view_tuple,
+                   rt_.ViewProvenance(static_cast<int>(view_tuple.IntAt(0)),
+                                      static_cast<int>(view_tuple.IntAt(1))));
   }
 
  private:
@@ -730,8 +696,9 @@ Status QueryRuntime::Insert(const std::string& relation, const Tuple& fact) {
   return InsertFact(relation, fact);
 }
 
-Status QueryRuntime::Delete(const std::string& relation, const Tuple& fact) {
-  return DeleteFact(relation, fact);
+Status QueryRuntime::Delete(const std::string& relation, const Tuple& fact,
+                            std::vector<Tuple>* deleted) {
+  return DeleteFact(relation, fact, deleted);
 }
 
 void QueryRuntime::PrepareApply() {
@@ -910,6 +877,30 @@ StatusOr<std::vector<Tuple>> QueryRuntime::Explain(
   return Status::Unimplemented("this runtime does not expose per-tuple "
                                "provenance witnesses (tuple " +
                                view_tuple.ToString() + ")");
+}
+
+StatusOr<std::vector<Tuple>> QueryRuntime::Witness(
+    const std::string& view, const Tuple& view_tuple, const Prov* pv) const {
+  if (options().prov != ProvMode::kAbsorption) {
+    return Status::Unimplemented(
+        "provenance witnesses require ProvMode::kAbsorption");
+  }
+  if (pv == nullptr) {
+    return Status::NotFound("tuple " + view_tuple.ToString() +
+                            " is not in view '" + view + "'");
+  }
+  std::vector<std::pair<bdd::Var, bool>> assignment;
+  const bdd::Bdd& b = pv->bdd();
+  if (!b.manager()->AnyWitness(b.index(), &assignment)) {
+    return Status::NotFound("no witness for " + view_tuple.ToString());
+  }
+  std::vector<Tuple> facts;
+  for (const auto& [var, value] : assignment) {
+    if (!value) continue;
+    std::optional<Tuple> fact = native_runtime().BaseFactOfVar(var);
+    if (fact.has_value()) facts.push_back(std::move(*fact));
+  }
+  return facts;
 }
 
 std::vector<Tuple> EvalAggView(const AggViewSpec& spec,

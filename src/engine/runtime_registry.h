@@ -64,9 +64,13 @@ class QueryRuntime {
   virtual ~QueryRuntime() = default;
 
   // Enqueues an insertion / deletion of `fact` into the named base
-  // relation. Updates propagate on the next Apply().
+  // relation. Updates propagate on the next Apply(). Delete appends to
+  // `deleted` the live base facts it removed: `fact` itself, or every fact
+  // it names by a key shorter than the relation (the shortest-path plan's
+  // link(src, dst) deletes every link(src, dst, cost)).
   Status Insert(const std::string& relation, const Tuple& fact);
-  Status Delete(const std::string& relation, const Tuple& fact);
+  Status Delete(const std::string& relation, const Tuple& fact,
+                std::vector<Tuple>* deleted);
 
   // Runs the distributed dataflow to fixpoint. ResourceExhausted when the
   // message or time budget was exceeded before convergence. Equivalent to
@@ -116,8 +120,8 @@ class QueryRuntime {
 
   virtual Status InsertFact(const std::string& relation,
                             const Tuple& fact) = 0;
-  virtual Status DeleteFact(const std::string& relation,
-                            const Tuple& fact) = 0;
+  virtual Status DeleteFact(const std::string& relation, const Tuple& fact,
+                            std::vector<Tuple>* deleted) = 0;
   // Enumerates `view` from runtime state (the expensive partition sweep the
   // cache amortizes away). Adapters must return rows in sorted order (all
   // runtimes enumerate sorted today); the cache keeps that invariant under
@@ -149,6 +153,13 @@ class QueryRuntime {
   static void CompressDeltaLog(std::vector<std::pair<Tuple, bool>> log,
                                std::vector<Tuple>* removed,
                                std::vector<Tuple>* added);
+
+  // Explain's answer for a view tuple whose annotation is `pv` (nullptr when
+  // the tuple is not in `view`): the base facts one satisfying assignment of
+  // the annotation sets true.
+  StatusOr<std::vector<Tuple>> Witness(const std::string& view,
+                                       const Tuple& view_tuple,
+                                       const Prov* pv) const;
 
   // For adapters whose native accessors mutate view state outside the
   // wrapped entry points, and for the TTL full-rebuild path.

@@ -299,7 +299,11 @@ Tuple Session::TaggedFact(const std::string& relation, const Tuple& fact) {
   std::vector<Value> key;
   key.reserve(fact.size() + 1);
   key.push_back(Value(relation));
-  for (const Value& v : fact.values()) key.push_back(v);
+  // Integral doubles key as integers (the literal rule), so a fact names
+  // one slot whichever numeric type the caller or a view spelled it in.
+  for (const Value& v : fact.values()) {
+    key.push_back(v.is_double() ? NumberToValue(v.AsDouble()) : v);
+  }
   return Tuple(std::move(key));
 }
 
@@ -333,14 +337,22 @@ Status Session::IngestDelete(const std::string& relation, const Tuple& fact) {
     return Status::NotFound("unknown base relation '" + relation +
                             "' (no co-resident view declares it)");
   }
+  // The views report the live facts they deleted: `fact` itself, or every
+  // fact a shorter key names (link(src, dst) deletes each
+  // link(src, dst, cost)). Exactly those leave the replay log.
+  std::vector<Tuple> deleted;
   for (View* view : it->second.views) {
-    RECNET_RETURN_IF_ERROR(view->runtime_->Delete(relation, fact));
+    RECNET_RETURN_IF_ERROR(view->runtime_->Delete(relation, fact, &deleted));
   }
-  auto idx = fact_index_.find(TaggedFact(relation, fact));
-  if (idx != fact_index_.end()) {
-    // Tombstone the slot but keep the index entry: a re-insert reclaims it
-    // instead of growing the log.
-    fact_log_[idx->second].first.clear();
+  for (const Tuple& gone : deleted) {
+    Tuple tag = TaggedFact(relation, gone);
+    auto idx = fact_index_.find(tag);
+    if (idx != fact_index_.end()) {
+      // Tombstone the slot but keep the index entry: a re-insert reclaims it
+      // instead of growing the log.
+      fact_log_[idx->second].first.clear();
+    }
+    clock_.Remove(tag);
   }
   return Status::OK();
 }

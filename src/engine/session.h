@@ -188,7 +188,7 @@ class Session {
   };
 
   // Tags a fact with its relation name (clock keys and the fact index must
-  // not collide across relations).
+  // not collide across relations). Integral doubles are keyed as integers.
   static Tuple TaggedFact(const std::string& relation, const Tuple& fact);
 
   // Fan-out without touching the soft-state clock (Insert/Delete wrap these

@@ -24,6 +24,16 @@ Tuple MakePath(int64_t src, int64_t dst, std::string vec, double cost,
   return Tuple(std::move(values));
 }
 
+// The base fact link(src, dst, cost).
+Tuple LinkFact(int64_t src, int64_t dst, double cost) {
+  Tuple::Values values;
+  values.reserve(3);
+  values.emplace_back(src);
+  values.emplace_back(dst);
+  values.emplace_back(cost);
+  return Tuple(std::move(values));
+}
+
 // link(x, z, c0) ⋈ path(z, y, vec, c1, l1)
 //   -> path(x, y, x|'.'|vec, c0+c1, l1+1)            (paper Query 2)
 Tuple CombineLinkPath(const Tuple& link, const Tuple& path) {
@@ -53,7 +63,12 @@ ShortestPathRuntime::ShortestPathRuntime(std::shared_ptr<Substrate> substrate,
                                          int num_nodes,
                                          const RuntimeOptions& options,
                                          AggSelPolicy policy)
-    : RuntimeBase(std::move(substrate), num_nodes, options), policy_(policy) {
+    // Aggregate selection prunes the path view towards one surviving tuple
+    // per (src, dst); size the operator tables for that bound up front.
+    // Derived path(x, ...) tuples ship to node x.
+    : RuntimeBase(std::move(substrate), num_nodes, options,
+                  /*ship_dest_col=*/kSrc, static_cast<size_t>(num_nodes)),
+      policy_(policy) {
   // The shortest-path family runs under absorption provenance (the paper's
   // Figure 14 evaluates aggregate selection with the main scheme only).
   RECNET_CHECK(opts_.prov == ProvMode::kAbsorption);
@@ -64,22 +79,11 @@ ShortestPathRuntime::ShortestPathRuntime(std::shared_ptr<Substrate> substrate,
 }
 
 void ShortestPathRuntime::InitNode(int n, size_t expected_nodes) {
-  NodeState& state = nodes_[static_cast<size_t>(n)];
-  state.fix = std::make_unique<Fixpoint>(opts_.prov);
-  // Aggregate selection prunes the path view towards one surviving tuple
-  // per (src, dst); size the operator tables for that bound up front.
-  state.fix->Reserve(expected_nodes);
+  RuleNode& state = nodes_[static_cast<size_t>(n)];
   state.join = std::make_unique<PipelinedHashJoin>(
       opts_.prov, std::vector<size_t>{1}, std::vector<size_t>{kSrc},
       CombineLinkPath);
   state.join->Reserve(expected_nodes);
-  state.ship = std::make_unique<MinShip>(
-      opts_.prov, opts_.ship, opts_.batch_window,
-      [this, n](const Tuple& tuple, const Prov& pv) {
-        LogicalNode dest = static_cast<LogicalNode>(tuple.IntAt(kSrc));
-        ShipInsert(n, dest, kPortFix, tuple, pv);
-      });
-  state.ship->Reserve(expected_nodes);
   if (policy_ != AggSelPolicy::kNone) {
     state.agg_fix = std::make_unique<AggSel>(
         opts_.prov, std::vector<size_t>{kSrc, kDst}, AggSpecs());
@@ -89,9 +93,8 @@ void ShortestPathRuntime::InitNode(int n, size_t expected_nodes) {
 }
 
 void ShortestPathRuntime::OnTopologyGrown(int num_nodes) {
-  if (num_nodes <= num_logical()) return;
   int old_nodes = num_logical();
-  GrowKillRouting(num_nodes);
+  if (!GrowNodes(num_nodes)) return;
   nodes_.resize(static_cast<size_t>(num_nodes));
   for (int n = old_nodes; n < num_nodes; ++n) {
     InitNode(n, static_cast<size_t>(num_nodes));
@@ -111,15 +114,10 @@ std::vector<AggSpec> ShortestPathRuntime::AggSpecs() const {
 
 void ShortestPathRuntime::InsertLink(LogicalNode src, LogicalNode dst,
                                      double cost) {
-  Tuple::Values link_values;
-  link_values.emplace_back(static_cast<int64_t>(src));
-  link_values.emplace_back(static_cast<int64_t>(dst));
-  link_values.emplace_back(cost);
-  Tuple link(std::move(link_values));
-  if (link_vars_.find(link) != link_vars_.end()) return;
-  bdd::Var v = AllocVar();
-  link_vars_.emplace(link, v);
-  Prov pv = VarProv(v);
+  Tuple link = LinkFact(src, dst, cost);
+  std::optional<bdd::Var> v = AddBaseFact(link);
+  if (!v.has_value()) return;  // Already alive.
+  Prov pv = VarProv(*v);
   // Base case: path(src, dst, src|'.'|dst, cost, 1).
   Tuple base = MakePath(src, dst,
                         std::to_string(src) + "." + std::to_string(dst), cost,
@@ -129,44 +127,49 @@ void ShortestPathRuntime::InsertLink(LogicalNode src, LogicalNode dst,
   ShipInsert(src, dst, kPortJoinBuild, link, pv);
 }
 
-void ShortestPathRuntime::DeleteLink(LogicalNode src, LogicalNode dst) {
-  for (auto it = link_vars_.begin(); it != link_vars_.end(); ++it) {
-    if (it->first.IntAt(0) == src && it->first.IntAt(1) == dst) {
-      bdd::Var v = it->second;
-      link_vars_.erase(it);
-      StartKill(src, {v});
-      return;
-    }
+std::vector<Tuple> ShortestPathRuntime::DeleteLink(LogicalNode src,
+                                                   LogicalNode dst,
+                                                   std::optional<double> cost) {
+  std::vector<std::pair<Tuple, bdd::Var>> taken =
+      cost.has_value() ? TakeBaseFacts(LinkFact(src, dst, *cost))
+                       : TakeBaseFacts(Tuple::OfInts({src, dst}),
+                                       /*by_prefix=*/true);
+  std::vector<Tuple> deleted;
+  std::vector<bdd::Var> killed;
+  for (auto& [link, var] : taken) {
+    deleted.push_back(std::move(link));
+    killed.push_back(var);
   }
+  if (!killed.empty()) StartKill(src, std::move(killed));
+  return deleted;
 }
 
-void ShortestPathRuntime::ShipPath(LogicalNode at, NodeState& state,
+void ShortestPathRuntime::ShipPath(LogicalNode at, RuleNode& state,
                                    const Tuple& tuple, const Prov& pv) {
   if (state.agg_ship != nullptr) {
     // Aggregate selection pushed into MinShip (Algorithm 3 lines 4-8).
     for (Update& u : state.agg_ship->ProcessInsert(tuple, pv)) {
       if (u.type == UpdateType::kInsert) {
-        state.ship->ProcessInsert(u.tuple, u.pv);
+        ship(at).ProcessInsert(u.tuple, u.pv);
       } else {
-        ShipRetraction(at, state, std::move(u.tuple));
+        ShipRetraction(at, std::move(u.tuple));
       }
     }
     return;
   }
-  state.ship->ProcessInsert(tuple, pv);
+  ship(at).ProcessInsert(tuple, pv);
 }
 
-void ShortestPathRuntime::ShipRetraction(LogicalNode at, NodeState& state,
-                                         Tuple tuple) {
+void ShortestPathRuntime::ShipRetraction(LogicalNode at, Tuple tuple) {
   LogicalNode dest = static_cast<LogicalNode>(tuple.IntAt(kSrc));
-  state.ship->ProcessDelete(tuple);
+  ship(at).ProcessDelete(tuple);
   Send(at, dest, kPortFix, Update::Delete(std::move(tuple)));
 }
 
-void ShortestPathRuntime::ApplyFixInsert(LogicalNode at, NodeState& state,
+void ShortestPathRuntime::ApplyFixInsert(LogicalNode at, RuleNode& state,
                                          const Tuple& tuple, const Prov& pv) {
   bool is_new = false;
-  std::optional<Prov> delta = state.fix->ProcessInsert(tuple, pv, &is_new);
+  std::optional<Prov> delta = fix(at).ProcessInsert(tuple, pv, &is_new);
   if (!delta.has_value()) return;
   if (is_new) LogViewDelta(tuple, /*added=*/true);
   for (Update& out :
@@ -174,14 +177,14 @@ void ShortestPathRuntime::ApplyFixInsert(LogicalNode at, NodeState& state,
     if (out.type == UpdateType::kInsert) {
       ShipPath(at, state, out.tuple, out.pv);
     } else {
-      ShipRetraction(at, state, std::move(out.tuple));
+      ShipRetraction(at, std::move(out.tuple));
     }
   }
 }
 
-void ShortestPathRuntime::ApplyFixDelete(LogicalNode at, NodeState& state,
+void ShortestPathRuntime::ApplyFixDelete(LogicalNode at, RuleNode& state,
                                          const Tuple& tuple) {
-  if (!state.fix->ProcessDelete(tuple)) return;
+  if (!fix(at).ProcessDelete(tuple)) return;
   LogViewDelta(tuple, /*added=*/false);
   for (Update& out :
        state.join->ProcessDelete(PipelinedHashJoin::kRight, tuple)) {
@@ -190,18 +193,18 @@ void ShortestPathRuntime::ApplyFixDelete(LogicalNode at, NodeState& state,
     if (state.agg_ship != nullptr) {
       for (Update& agg_out : state.agg_ship->ProcessDelete(out.tuple)) {
         if (agg_out.type == UpdateType::kInsert) {
-          state.ship->ProcessInsert(agg_out.tuple, agg_out.pv);
+          ship(at).ProcessInsert(agg_out.tuple, agg_out.pv);
         } else {
-          ShipRetraction(at, state, std::move(agg_out.tuple));
+          ShipRetraction(at, std::move(agg_out.tuple));
         }
       }
     } else {
-      ShipRetraction(at, state, std::move(out.tuple));
+      ShipRetraction(at, std::move(out.tuple));
     }
   }
 }
 
-void ShortestPathRuntime::HandleFixStream(LogicalNode at, NodeState& state,
+void ShortestPathRuntime::HandleFixStream(LogicalNode at, RuleNode& state,
                                           const Update& u) {
   if (u.type == UpdateType::kInsert) {
     Prov guarded = GuardIncoming(u.pv);
@@ -235,14 +238,9 @@ void ShortestPathRuntime::HandleFixStream(LogicalNode at, NodeState& state,
   }
 }
 
-void ShortestPathRuntime::HandleKill(LogicalNode at, NodeState& state,
-                                     const std::vector<bdd::Var>& killed) {
-  std::vector<bdd::Var> fresh = AcceptKill(at, killed);
-  if (fresh.empty()) return;
-  Fixpoint::KillResult result = state.fix->ProcessKill(fresh);
-  for (const Tuple& removed : result.removed) {
-    LogViewDelta(removed, /*added=*/false);
-  }
+void ShortestPathRuntime::KillRuleState(LogicalNode at,
+                                        const std::vector<bdd::Var>& fresh) {
+  RuleNode& state = node(at);
   state.join->ProcessKill(fresh);
   if (state.agg_fix != nullptr) {
     // Replacement winners re-enter the local fixpoint.
@@ -254,10 +252,9 @@ void ShortestPathRuntime::HandleKill(LogicalNode at, NodeState& state,
   if (state.agg_ship != nullptr) {
     for (Update& out : state.agg_ship->ProcessKill(fresh)) {
       RECNET_CHECK(out.type == UpdateType::kInsert);
-      state.ship->ProcessInsert(out.tuple, out.pv);
+      ship(at).ProcessInsert(out.tuple, out.pv);
     }
   }
-  state.ship->ProcessKill(fresh);
 }
 
 void ShortestPathRuntime::HandleBatch(const Envelope* envs, size_t n) {
@@ -265,7 +262,7 @@ void ShortestPathRuntime::HandleBatch(const Envelope* envs, size_t n) {
   // state and the port dispatch once, then apply the operator across the
   // whole batch.
   LogicalNode at = envs[0].dst;
-  NodeState& state = node(at);
+  RuleNode& state = node(at);
   switch (LocalPort(envs[0])) {
     case kPortJoinBuild:
       for (size_t i = 0; i < n; ++i) {
@@ -285,37 +282,15 @@ void ShortestPathRuntime::HandleBatch(const Envelope* envs, size_t n) {
         HandleFixStream(at, state, envs[i].update);
       }
       return;
-    case kPortKill:
-      for (size_t i = 0; i < n; ++i) {
-        HandleKill(at, state, envs[i].update.killed);
-      }
-      return;
     default:
       RECNET_CHECK(false);
   }
 }
 
-bool ShortestPathRuntime::AfterQuiescent() {
-  // Demoted MinShips compact their buffers against the shipped state now
-  // that the insert storm has drained (no traffic is generated).
-  for (LogicalNode n = 0; n < num_logical(); ++n) {
-    node(n).ship->FlushIfDemoted();
-  }
-  return false;
-}
-
-uint64_t ShortestPathRuntime::CountShipDemotions() const {
-  uint64_t total = 0;
-  for (LogicalNode n = 0; n < num_logical(); ++n) {
-    total += node(n).ship->demotions();
-  }
-  return total;
-}
-
 std::optional<double> ShortestPathRuntime::MinCost(LogicalNode src,
                                                    LogicalNode dst) const {
   double best = std::numeric_limits<double>::infinity();
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     if (tuple.IntAt(kDst) != dst) continue;
     best = std::min(best, tuple.DoubleAt(kCost));
   }
@@ -330,7 +305,7 @@ std::vector<std::optional<double>> ShortestPathRuntime::MinCosts(
   for (size_t i = 0; i < dsts.size(); ++i) {
     slot_of[static_cast<size_t>(dsts[i])] = static_cast<int32_t>(i);
   }
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     int32_t slot = slot_of[static_cast<size_t>(tuple.IntAt(kDst))];
     if (slot < 0) continue;
     double cost = tuple.DoubleAt(kCost);
@@ -347,7 +322,7 @@ const Prov* ShortestPathRuntime::ViewProvenance(LogicalNode src,
   // tuple's derivation.
   const Prov* best_pv = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     if (tuple.IntAt(kDst) != dst) continue;
     double cost = tuple.DoubleAt(kCost);
     if (best_pv == nullptr || cost < best_cost) {
@@ -358,17 +333,10 @@ const Prov* ShortestPathRuntime::ViewProvenance(LogicalNode src,
   return best_pv;
 }
 
-std::optional<Tuple> ShortestPathRuntime::LinkOfVar(bdd::Var v) const {
-  for (const auto& [link, var] : link_vars_) {
-    if (var == v) return link;
-  }
-  return std::nullopt;
-}
-
 std::optional<int64_t> ShortestPathRuntime::MinHops(LogicalNode src,
                                                     LogicalNode dst) const {
   int64_t best = std::numeric_limits<int64_t>::max();
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     if (tuple.IntAt(kDst) != dst) continue;
     best = std::min(best, tuple.IntAt(kLen));
   }
@@ -380,7 +348,7 @@ std::optional<std::string> ShortestPathRuntime::CheapestPathVec(
     LogicalNode src, LogicalNode dst) const {
   std::optional<double> best = MinCost(src, dst);
   if (!best.has_value()) return std::nullopt;
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     if (tuple.IntAt(kDst) == dst && tuple.DoubleAt(kCost) == *best) {
       return tuple.StringAt(kVec);
     }
@@ -392,7 +360,7 @@ std::optional<std::string> ShortestPathRuntime::FewestHopsVec(
     LogicalNode src, LogicalNode dst) const {
   std::optional<int64_t> best = MinHops(src, dst);
   if (!best.has_value()) return std::nullopt;
-  for (const auto& [tuple, pv] : node(src).fix->contents()) {
+  for (const auto& [tuple, pv] : fix(src).contents()) {
     if (tuple.IntAt(kDst) == dst && tuple.IntAt(kLen) == *best) {
       return tuple.StringAt(kVec);
     }
@@ -416,17 +384,10 @@ ShortestPathRuntime::ShortestCheapestPath(LogicalNode src,
   return out;
 }
 
-size_t ShortestPathRuntime::ViewSize() const {
-  size_t total = 0;
-  for (const NodeState& state : nodes_) total += state.fix->size();
-  return total;
-}
-
-size_t ShortestPathRuntime::StateSizeBytes() const {
+size_t ShortestPathRuntime::RuleStateBytes() const {
   size_t bytes = 0;
-  for (const NodeState& state : nodes_) {
-    bytes += state.fix->StateSizeBytes() + state.join->StateSizeBytes() +
-             state.ship->StateSizeBytes();
+  for (const RuleNode& state : nodes_) {
+    bytes += state.join->StateSizeBytes();
     if (state.agg_fix != nullptr) bytes += state.agg_fix->StateSizeBytes();
     if (state.agg_ship != nullptr) bytes += state.agg_ship->StateSizeBytes();
   }

@@ -4,12 +4,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/runtime_base.h"
 #include "operators/agg_sel.h"
-#include "operators/fixpoint.h"
 #include "operators/hash_join.h"
 
 namespace recnet {
@@ -41,7 +39,10 @@ class ShortestPathRuntime : public RuntimeBase {
                       const RuntimeOptions& options, AggSelPolicy policy);
 
   void InsertLink(LogicalNode src, LogicalNode dst, double cost);
-  void DeleteLink(LogicalNode src, LogicalNode dst);
+  // Deletes link(src, dst, cost), or with no cost every live link from src
+  // to dst. Returns the deleted link facts (src, dst, cost).
+  std::vector<Tuple> DeleteLink(LogicalNode src, LogicalNode dst,
+                                std::optional<double> cost = std::nullopt);
 
   // --- Derived views (computed at the src partition) -------------------------
 
@@ -71,20 +72,13 @@ class ShortestPathRuntime : public RuntimeBase {
   std::optional<ShortestCheapest> ShortestCheapestPath(LogicalNode src,
                                                        LogicalNode dst) const;
 
-  size_t ViewSize() const;
-
   // Provenance annotation of a cost-minimal path(src, dst) tuple, if one is
   // materialized (the runtime always runs under absorption provenance);
   // backs the facade's Explain witnesses for the path view.
   const Prov* ViewProvenance(LogicalNode src, LogicalNode dst) const;
 
-  // Reverse-maps a base variable to the live link it annotates, as
-  // (src, dst, cost) — for rendering provenance witnesses.
-  std::optional<Tuple> LinkOfVar(bdd::Var v) const;
-
-  // Snapshot round-trip (see RuntimeBase::SaveState): appends the link
-  // table and every node's operator state. Defined in
-  // engine/runtime_persist.cc.
+  // Snapshot round-trip (see RuntimeBase::SaveState): appends every node's
+  // join and aggregate selections. Defined in engine/runtime_persist.cc.
   void SaveState(persist::SnapshotWriter& w) const override;
   Status LoadState(persist::SnapshotReader& r) override;
 
@@ -92,48 +86,38 @@ class ShortestPathRuntime : public RuntimeBase {
   // Vectorized delivery: one (dst, port) switch and node-state lookup per
   // run, with the operator applied across the whole batch.
   void HandleBatch(const Envelope* envs, size_t n) override;
-  // Re-absorbs demoted MinShips at quiescence (the eager→lazy demotion
-  // policy; see kEagerDemoteWidth).
-  bool AfterQuiescent() override;
-  uint64_t CountShipDemotions() const override;
+  void KillRuleState(LogicalNode at,
+                     const std::vector<bdd::Var>& fresh) override;
   // Dynamic node-id space: extends the per-node operator state when the
   // substrate's topology grows (late facts mentioning unseen node ids).
   void OnTopologyGrown(int num_nodes) override;
-  size_t StateSizeBytes() const override;
+  size_t RuleStateBytes() const override;
 
  private:
-  struct NodeState {
-    std::unique_ptr<Fixpoint> fix;
+  struct RuleNode {
     std::unique_ptr<PipelinedHashJoin> join;
-    std::unique_ptr<MinShip> ship;
     std::unique_ptr<AggSel> agg_fix;   // Pushed into the Fixpoint.
     std::unique_ptr<AggSel> agg_ship;  // Pushed into MinShip.
   };
 
-  NodeState& node(LogicalNode n) { return nodes_[static_cast<size_t>(n)]; }
-  const NodeState& node(LogicalNode n) const {
-    return nodes_[static_cast<size_t>(n)];
-  }
+  RuleNode& node(LogicalNode n) { return nodes_[static_cast<size_t>(n)]; }
 
-  // Builds node n's operator pipeline, sizing tables for `expected_nodes`.
+  // Builds node n's rule operators, sizing tables for `expected_nodes`.
   void InitNode(int n, size_t expected_nodes);
 
   std::vector<AggSpec> AggSpecs() const;
-  // The handlers take the destination's NodeState, resolved once per
+  // The handlers take the destination's RuleNode, resolved once per
   // delivery batch rather than once per envelope.
-  void HandleFixStream(LogicalNode at, NodeState& state, const Update& u);
-  void ApplyFixInsert(LogicalNode at, NodeState& state, const Tuple& tuple,
+  void HandleFixStream(LogicalNode at, RuleNode& state, const Update& u);
+  void ApplyFixInsert(LogicalNode at, RuleNode& state, const Tuple& tuple,
                       const Prov& pv);
-  void ApplyFixDelete(LogicalNode at, NodeState& state, const Tuple& tuple);
-  void ShipPath(LogicalNode at, NodeState& state, const Tuple& tuple,
+  void ApplyFixDelete(LogicalNode at, RuleNode& state, const Tuple& tuple);
+  void ShipPath(LogicalNode at, RuleNode& state, const Tuple& tuple,
                 const Prov& pv);
-  void ShipRetraction(LogicalNode at, NodeState& state, Tuple tuple);
-  void HandleKill(LogicalNode at, NodeState& state,
-                  const std::vector<bdd::Var>& killed);
+  void ShipRetraction(LogicalNode at, Tuple tuple);
 
   AggSelPolicy policy_;
-  std::vector<NodeState> nodes_;
-  std::unordered_map<Tuple, bdd::Var, TupleHash> link_vars_;
+  std::vector<RuleNode> nodes_;
 };
 
 }  // namespace recnet

@@ -26,9 +26,13 @@ inline constexpr uint64_t kSnapshotMagic = 0x706B63'74656E6372ULL;  // "rcnetckp
 // Version 4: the per-program options record and the summary carry only the
 // per-view policy and the deployment (num_physical, shards); the
 // batch-delivery flag, the per-program physical/shard copies and the
-// simulated per-message latency are gone. Readers accept exactly the
+// simulated per-message latency are gone.
+// Version 5: each view's state leads with the shared skeleton (base-fact
+// table, pending quiescence work, every node's Fixpoint and MinShip) and
+// appends only its rules' operators; a shortest-path view without
+// aggregate selection stores no AggSel state. Readers accept exactly the
 // writer's version.
-inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kSnapshotVersion = 5;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "engine/engine.h"
 #include "topology/sensor_grid.h"
@@ -229,6 +230,77 @@ TEST(EngineTest, ExplainReturnsWitnessLinks) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+}
+
+TEST(EngineTest, QuickstartFlow) {
+  auto engine =
+      Engine::Compile(kReachable, GraphOptions(4, ProvMode::kAbsorption),
+                      FourPeers());
+  ASSERT_TRUE(engine.ok());
+  Engine& e = **engine;
+  ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
+  ASSERT_TRUE(e.Insert("link", {1, 2}).ok());
+  ASSERT_TRUE(e.Insert("link", {2, 3}).ok());
+  ASSERT_TRUE(e.Apply().ok());
+  EXPECT_TRUE(*e.Contains("reachable", {0, 3}));
+  EXPECT_FALSE(*e.Contains("reachable", {3, 0}));
+
+  auto why = e.Explain("reachable", Tuple::OfInts({0, 3}));
+  ASSERT_TRUE(why.ok()) << why.status().ToString();
+  std::sort(why->begin(), why->end());
+  std::vector<Tuple> chain = {Tuple::OfInts({0, 1}), Tuple::OfInts({1, 2}),
+                              Tuple::OfInts({2, 3})};
+  EXPECT_EQ(*why, chain);  // The three chain links.
+
+  ASSERT_TRUE(e.Delete("link", {1, 2}).ok());
+  ASSERT_TRUE(e.Apply().ok());
+  EXPECT_FALSE(*e.Contains("reachable", {0, 3}));
+}
+
+TEST(EngineTest, BudgetExceededSurfacesAsError) {
+  EngineOptions options = GraphOptions(4, ProvMode::kAbsorption);
+  options.runtime.message_budget = 2;  // Absurdly small.
+  auto engine = Engine::Compile(kReachable, options, FourPeers());
+  ASSERT_TRUE(engine.ok());
+  Engine& e = **engine;
+  ASSERT_TRUE(e.Insert("link", {0, 1}).ok());
+  ASSERT_TRUE(e.Insert("link", {1, 2}).ok());
+  ASSERT_TRUE(e.Insert("link", {2, 0}).ok());
+  Status status = e.Apply();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+}
+
+TEST(EngineTest, ShortestPathDeleteRemovesTheNamedParallelLink) {
+  // Two parallel links 0 -> 1 that differ only in cost. A three-column
+  // delete removes exactly the named one, whichever was inserted first; a
+  // two-column delete removes every link between the endpoints.
+  for (bool expensive_first : {true, false}) {
+    SCOPED_TRACE(expensive_first ? "cost 7 inserted first"
+                                 : "cost 5 inserted first");
+    auto engine = Engine::Compile(
+        kShortestPath, GraphOptions(2, ProvMode::kAbsorption), FourPeers());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Engine& e = **engine;
+    for (double cost : expensive_first ? std::vector<double>{7, 5}
+                                       : std::vector<double>{5, 7}) {
+      ASSERT_TRUE(e.Insert("link", {0, 1, cost}).ok());
+    }
+    ASSERT_TRUE(e.Apply().ok());
+    ASSERT_DOUBLE_EQ(e.Lookup("minCost", {0, 1})->DoubleAt(2), 5.0);
+
+    ASSERT_TRUE(e.Delete("link", {0, 1, 7}).ok());
+    ASSERT_TRUE(e.Apply().ok());
+    auto cost = e.Lookup("minCost", {0, 1});
+    ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+    EXPECT_DOUBLE_EQ(cost->DoubleAt(2), 5.0);
+
+    ASSERT_TRUE(e.Insert("link", {0, 1, 7}).ok());
+    ASSERT_TRUE(e.Delete("link", {0, 1}).ok());
+    ASSERT_TRUE(e.Apply().ok());
+    EXPECT_EQ(e.Lookup("minCost", {0, 1}).status().code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST(EngineTest, LoadsGroundFactsFromProgram) {

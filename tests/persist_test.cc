@@ -360,6 +360,57 @@ TEST(PersistTest, ShortestPathAndRegionRoundTrip) {
       Observe(control.view(1), {"activeRegion", "regionSizes"}), "region");
 }
 
+// A shortest-path view without aggregate selection has no AggSel state to
+// save; on an acyclic topology, where it converges, it round-trips like any
+// other view.
+TEST(PersistTest, ShortestPathWithoutAggSelRoundTrip) {
+  const std::string path = TempPath("noaggsel.ckpt");
+  EngineOptions options;
+  options.num_nodes = kNodes;
+  options.aggsel = AggSelPolicy::kNone;
+
+  auto build = [&](Session* session) {
+    ASSERT_TRUE(session->AddProgram(kShortestPath, options).ok());
+  };
+  auto phase1 = [](Session* session) {
+    // A chain 0 -> 1 -> 2 plus a costlier shortcut 0 -> 2.
+    ASSERT_TRUE(session->Insert("link", {0, 1, 1.0}).ok());
+    ASSERT_TRUE(session->Insert("link", {1, 2, 1.0}).ok());
+    ASSERT_TRUE(session->Insert("link", {0, 2, 5.0}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+  };
+  auto phase2 = [](Session* session) {
+    ASSERT_TRUE(session->Insert("link", {2, 3, 2.0}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+    ASSERT_TRUE(session->Delete("link", {1, 2}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+  };
+
+  Session control(SharedOptions(1));
+  build(&control);
+  phase1(&control);
+  phase2(&control);
+
+  {
+    Session session(SharedOptions(1));
+    build(&session);
+    phase1(&session);
+    ASSERT_TRUE(session.Checkpoint(path).ok());
+  }
+
+  Session restored(SharedOptions(1));
+  Status st = restored.Restore(path);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  phase2(&restored);
+
+  ExpectObservationsEqual(Observe(restored.view(0), {"path", "minCost"}),
+                          Observe(control.view(0), {"path", "minCost"}),
+                          "path");
+  auto cost = restored.view(0)->Lookup("minCost", {0, 3});
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+  EXPECT_DOUBLE_EQ(cost->DoubleAt(2), 7.0);
+}
+
 // Soft-state deadlines survive the round trip: a TTL fact checkpointed
 // mid-window expires at the same clock tick in the restored session.
 TEST(PersistTest, SoftStateClockRoundTrip) {
@@ -507,8 +558,8 @@ TEST_F(PersistCorruptionTest, BitFlipIsDataLoss) {
 
 TEST_F(PersistCorruptionTest, VersionSkewIsInvalidArgument) {
   // Header layout: magic u64, then version u32. Only the writer's version
-  // restores: a future version and the previous format (v3) both fail.
-  for (char version : {char{99}, char{3}}) {
+  // restores: a future version and the previous formats (v3, v4) all fail.
+  for (char version : {char{99}, char{3}, char{4}}) {
     std::vector<char> skewed = bytes_;
     skewed[8] = version;
     WriteBack(skewed);

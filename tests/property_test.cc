@@ -161,7 +161,7 @@ TEST(ProvenanceHygieneTest, DeadVariablesNeverLingerInTheView) {
       std::vector<bdd::Var> support;
       pv->SupportVars(&support);
       for (bdd::Var v : support) {
-        EXPECT_TRUE(rt.LinkOfVar(v).has_value())
+        EXPECT_TRUE(rt.BaseFactOfVar(v).has_value())
             << "annotation of (" << src << "," << dst
             << ") depends on dead variable p" << v;
       }

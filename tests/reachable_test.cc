@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "engine/views.h"
 #include "queries/reference.h"
 
 namespace recnet {
@@ -232,39 +231,6 @@ TEST(SoftStateTest, DeleteOfUnknownLinkIsNoOp) {
   rt.DeleteLink(0, 1);
   ASSERT_TRUE(rt.Run());
   EXPECT_EQ(rt.ViewSize(), 0u);
-}
-
-// --- Public facade ------------------------------------------------------------
-
-TEST(ReachabilityViewTest, QuickstartFlow) {
-  RuntimeOptions opts = Opts(ProvMode::kAbsorption);
-  ReachabilityView view(Net(4), 4, opts);
-  view.InsertLink(0, 1);
-  view.InsertLink(1, 2);
-  view.InsertLink(2, 3);
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_TRUE(view.IsReachable(0, 3));
-  EXPECT_FALSE(view.IsReachable(3, 0));
-
-  auto why = view.Why(0, 3);
-  ASSERT_TRUE(why.has_value());
-  EXPECT_EQ(why->size(), 3u);  // The three chain links.
-
-  view.DeleteLink(1, 2);
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_FALSE(view.IsReachable(0, 3));
-}
-
-TEST(ReachabilityViewTest, BudgetExceededSurfacesAsError) {
-  RuntimeOptions opts = Opts(ProvMode::kAbsorption);
-  opts.message_budget = 2;  // Absurdly small.
-  ReachabilityView view(Net(4), 4, opts);
-  view.InsertLink(0, 1);
-  view.InsertLink(1, 2);
-  view.InsertLink(2, 0);
-  Status status = view.Apply();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
 }
 
 // --- Provenance diagnostics ----------------------------------------------------

@@ -289,6 +289,42 @@ TEST(SessionTest, SharedEdbFansOutAndReplaysIntoLatePrograms) {
   EXPECT_FALSE(*(*hop)->Contains("hop", {0, 2}));
 }
 
+TEST(SessionTest, EndpointDeleteLeavesNoLinkToReplay) {
+  // link(0, 1) deletes every link(0, 1, cost) in the views, so none of them
+  // may be replayed into a program added afterwards.
+  Session session(Topology(2, 2));
+  auto paths = session.AddProgram(kShortestPath, {});
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  ASSERT_TRUE(session.Insert("link", {0, 1, 1.0}).ok());
+  ASSERT_TRUE(session.Apply().ok());
+  ASSERT_TRUE(session.Delete("link", {0, 1}).ok());
+  ASSERT_TRUE(session.Apply().ok());
+  EXPECT_FALSE(*(*paths)->Contains("path", {0, 1}));
+
+  auto late = session.AddProgram(R"(
+    best(x,y,c) :- link(x,y,c).
+    best(x,y,c) :- link(x,z,c), best(z,y,c2).
+  )", {});
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  ASSERT_TRUE(session.Apply().ok());
+  EXPECT_EQ((*late)->Lookup("best", {0, 1}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE((*late)->Scan("best")->empty());
+
+  // A re-inserted link is live again, for late programs too.
+  ASSERT_TRUE(session.Insert("link", {0, 1, 2.0}).ok());
+  ASSERT_TRUE(session.Apply().ok());
+  auto later = session.AddProgram(R"(
+    cheap(x,y,c) :- link(x,y,c).
+    cheap(x,y,c) :- link(x,z,c), cheap(z,y,c2).
+  )", {});
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  ASSERT_TRUE(session.Apply().ok());
+  auto row = (*later)->Lookup("cheap", {0, 1});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_DOUBLE_EQ(row->DoubleAt(2), 2.0);
+}
+
 TEST(SessionTest, GroundFactsOfOneProgramReachCoResidentViews) {
   Session session(Topology(3, 3));
   auto reach = session.AddProgram(R"(

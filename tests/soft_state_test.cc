@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/views.h"
+#include <memory>
+#include <utility>
+
+#include "engine/engine.h"
 
 namespace recnet {
 namespace {
@@ -45,66 +48,81 @@ TEST(SoftStateClockTest, EqualDeadlinesAllExpire) {
   EXPECT_EQ(clock.AdvanceTo(5.0).size(), 2u);
 }
 
+// Soft-state links through the session facade (paper §3.1): every link
+// carries a time-to-live, AdvanceTime expires overdue links as ordinary
+// incremental deletions, and re-inserting a live link renews it.
+constexpr char kReachable[] = R"(
+  reachable(x,y) :- link(x,y).
+  reachable(x,y) :- link(x,z), reachable(z,y).
+)";
+
+std::unique_ptr<Engine> ThreeNodeEngine() {
+  EngineOptions options;
+  options.num_nodes = 3;
+  options.runtime.prov = ProvMode::kAbsorption;
+  SessionOptions deployment;
+  deployment.num_physical = 3;
+  auto engine = Engine::Compile(kReachable, options, deployment);
+  RECNET_CHECK(engine.ok());
+  return std::move(engine).value();
+}
+
+Status InsertLink(Engine& e, int src, int dst, double ttl) {
+  return e.InsertWithTtl("link", Tuple::OfInts({src, dst}), ttl);
+}
+
+bool Reachable(const Engine& e, int src, int dst) {
+  return *e.Contains("reachable", {double(src), double(dst)});
+}
+
 TEST(SoftStateViewTest, ExpirationsDeleteIncrementally) {
-  RuntimeOptions opts;
-  opts.prov = ProvMode::kAbsorption;
-  SoftStateReachabilityView view(
-      std::make_shared<Substrate>(3, SubstrateOptions{}), 3, opts);
-  view.InsertLink(0, 1, /*ttl=*/10.0);
-  view.InsertLink(1, 2, /*ttl=*/5.0);
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_TRUE(view.IsReachable(0, 2));
+  std::unique_ptr<Engine> e = ThreeNodeEngine();
+  ASSERT_TRUE(InsertLink(*e, 0, 1, /*ttl=*/10.0).ok());
+  ASSERT_TRUE(InsertLink(*e, 1, 2, /*ttl=*/5.0).ok());
+  ASSERT_TRUE(e->Apply().ok());
+  EXPECT_TRUE(Reachable(*e, 0, 2));
 
-  view.AdvanceTime(7.0);  // link(1,2) expires.
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_FALSE(view.IsReachable(0, 2));
-  EXPECT_TRUE(view.IsReachable(0, 1));
-  EXPECT_EQ(view.live_links(), 1u);
+  ASSERT_TRUE(e->AdvanceTime(7.0).ok());  // link(1,2) expires.
+  ASSERT_TRUE(e->Apply().ok());
+  EXPECT_FALSE(Reachable(*e, 0, 2));
+  EXPECT_TRUE(Reachable(*e, 0, 1));
 
-  view.AdvanceTime(11.0);  // link(0,1) expires.
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_FALSE(view.IsReachable(0, 1));
-  EXPECT_EQ(view.live_links(), 0u);
+  ASSERT_TRUE(e->AdvanceTime(11.0).ok());  // link(0,1) expires.
+  ASSERT_TRUE(e->Apply().ok());
+  EXPECT_FALSE(Reachable(*e, 0, 1));
+  EXPECT_TRUE(e->Scan("reachable")->empty());
 }
 
 TEST(SoftStateViewTest, RenewalKeepsViewStableWithoutTraffic) {
-  RuntimeOptions opts;
-  opts.prov = ProvMode::kAbsorption;
-  SubstrateOptions deployment;
-  deployment.num_physical = 3;
-  SoftStateReachabilityView view(std::make_shared<Substrate>(3, deployment),
-                                 3, opts);
-  view.InsertLink(0, 1, 10.0);
-  view.InsertLink(1, 2, 10.0);
-  ASSERT_TRUE(view.Apply().ok());
-  uint64_t messages = view.Metrics().messages;
+  std::unique_ptr<Engine> e = ThreeNodeEngine();
+  ASSERT_TRUE(InsertLink(*e, 0, 1, 10.0).ok());
+  ASSERT_TRUE(InsertLink(*e, 1, 2, 10.0).ok());
+  ASSERT_TRUE(e->Apply().ok());
+  uint64_t messages = e->Metrics().messages;
   // Periodic refresh before expiry: the derivations stay valid, no
   // propagation happens.
   for (double t : {4.0, 8.0, 12.0, 16.0}) {
-    view.AdvanceTime(t);
-    view.InsertLink(0, 1, 10.0);
-    view.InsertLink(1, 2, 10.0);
-    ASSERT_TRUE(view.Apply().ok());
-    EXPECT_TRUE(view.IsReachable(0, 2));
+    ASSERT_TRUE(e->AdvanceTime(t).ok());
+    ASSERT_TRUE(InsertLink(*e, 0, 1, 10.0).ok());
+    ASSERT_TRUE(InsertLink(*e, 1, 2, 10.0).ok());
+    ASSERT_TRUE(e->Apply().ok());
+    EXPECT_TRUE(Reachable(*e, 0, 2));
   }
-  EXPECT_EQ(view.Metrics().messages, messages);
+  EXPECT_EQ(e->Metrics().messages, messages);
 }
 
 TEST(SoftStateViewTest, MissedRefreshExpiresThenReinsertRestores) {
-  RuntimeOptions opts;
-  opts.prov = ProvMode::kAbsorption;
-  SoftStateReachabilityView view(
-      std::make_shared<Substrate>(3, SubstrateOptions{}), 3, opts);
-  view.InsertLink(0, 1, 5.0);
-  view.InsertLink(1, 2, 5.0);
-  ASSERT_TRUE(view.Apply().ok());
-  view.AdvanceTime(6.0);  // Both expire.
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_FALSE(view.IsReachable(0, 2));
-  view.InsertLink(0, 1, 5.0);  // Fresh insertion (new base variable).
-  view.InsertLink(1, 2, 5.0);
-  ASSERT_TRUE(view.Apply().ok());
-  EXPECT_TRUE(view.IsReachable(0, 2));
+  std::unique_ptr<Engine> e = ThreeNodeEngine();
+  ASSERT_TRUE(InsertLink(*e, 0, 1, 5.0).ok());
+  ASSERT_TRUE(InsertLink(*e, 1, 2, 5.0).ok());
+  ASSERT_TRUE(e->Apply().ok());
+  ASSERT_TRUE(e->AdvanceTime(6.0).ok());  // Both expire.
+  ASSERT_TRUE(e->Apply().ok());
+  EXPECT_FALSE(Reachable(*e, 0, 2));
+  ASSERT_TRUE(InsertLink(*e, 0, 1, 5.0).ok());  // Fresh insertion.
+  ASSERT_TRUE(InsertLink(*e, 1, 2, 5.0).ok());
+  ASSERT_TRUE(e->Apply().ok());
+  EXPECT_TRUE(Reachable(*e, 0, 2));
 }
 
 }  // namespace
