@@ -3,30 +3,16 @@
 
 #include <memory>
 #include <set>
-#include <vector>
 
-#include "engine/runtime_base.h"
-#include "operators/hash_join.h"
+#include "engine/closure_runtime.h"
 
 namespace recnet {
 
 // Distributed, incrementally maintained transitive closure — the paper's
-// Query 1 and the running example of Sections 3-5.
-//
-// Plan (paper Figure 4), instantiated per logical node n:
-//   * link(n, y) lives at n; a copy ships to node y's join build side
-//     (the distributed join on link.dst = reachable.src).
-//   * Fixpoint at n stores the view partition reachable(n, *).
-//   * Fixpoint deltas probe the local join; joined results
-//     reachable(x, z) ship through MinShip to node x's fixpoint.
-//
-// Maintenance strategy is selected by RuntimeOptions::prov:
-//   * kAbsorption / kRelative — provenance annotations; deletion kills the
-//     link's base variable along subscription edges.
-//   * kSet — the DRed baseline: deletion over-deletes through the same
-//     dataflow, then a re-derivation phase re-fires the join over the
-//     surviving tuples (paper Figure 5).
-class ReachableRuntime : public RuntimeBase {
+// Query 1 and the running example of Sections 3-5: the closure plan
+// (Figure 4) over link(src, dst) with reachable(src, dst) as the view and
+// no aggregate selection. Runs under every ProvMode, DRed (kSet) included.
+class ReachableRuntime : public ClosureRuntime {
  public:
   ReachableRuntime(std::shared_ptr<Substrate> substrate, int num_nodes,
                    const RuntimeOptions& options);
@@ -52,41 +38,6 @@ class ReachableRuntime : public RuntimeBase {
   // Provenance annotation of reachable(src, dst), if present (provenance
   // modes only); supports "why is this tuple here" diagnostics.
   const Prov* ViewProvenance(LogicalNode src, LogicalNode dst) const;
-
-  // Snapshot round-trip (see RuntimeBase::SaveState): appends DRed's link
-  // index and every node's join. Defined in engine/runtime_persist.cc.
-  void SaveState(persist::SnapshotWriter& w) const override;
-  Status LoadState(persist::SnapshotReader& r) override;
-
- protected:
-  // Vectorized delivery: one (dst, port) switch and node-state lookup per
-  // run, with the operator applied across the whole batch.
-  void HandleBatch(const Envelope* envs, size_t n) override;
-  void KillRuleState(LogicalNode at,
-                     const std::vector<bdd::Var>& fresh) override;
-  void SeedRederivation() override;
-  // Dynamic node-id space: extends the per-node operator state when the
-  // substrate's topology grows (late facts mentioning unseen node ids).
-  void OnTopologyGrown(int num_nodes) override;
-  size_t RuleStateBytes() const override;
-
- private:
-  PipelinedHashJoin& join(LogicalNode n) {
-    return *joins_[static_cast<size_t>(n)];
-  }
-
-  // Builds node n's join, sizing tables for `expected_nodes`.
-  void InitJoin(int n, size_t expected_nodes);
-
-  void ShipJoinOutputs(LogicalNode at, std::vector<Update> outs);
-  void SendDirect(LogicalNode at, Update out);
-  void HandleFixInsert(LogicalNode at, const Tuple& tuple, const Prov& pv);
-  void HandleFixDelete(LogicalNode at, const Tuple& tuple);
-
-  // Per node: the distributed join link(x, y) ⋈ reachable(y, z).
-  std::vector<std::unique_ptr<PipelinedHashJoin>> joins_;
-  // Alive links grouped by source (for DRed re-derivation's base case).
-  std::vector<std::vector<LogicalNode>> links_by_src_;
 };
 
 }  // namespace recnet

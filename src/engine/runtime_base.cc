@@ -96,6 +96,16 @@ const bdd::Var* RuntimeBase::BaseVar(const Tuple& fact) const {
   return it == base_facts_.end() ? nullptr : &it->second;
 }
 
+namespace {
+
+// Table order is layout-dependent; allocation order is not.
+void SortByVar(std::vector<std::pair<Tuple, bdd::Var>>* facts) {
+  std::sort(facts->begin(), facts->end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+}
+
+}  // namespace
+
 std::vector<std::pair<Tuple, bdd::Var>> RuntimeBase::TakeBaseFacts(
     const Tuple& key, bool by_prefix) {
   std::vector<std::pair<Tuple, bdd::Var>> taken;
@@ -120,10 +130,15 @@ std::vector<std::pair<Tuple, bdd::Var>> RuntimeBase::TakeBaseFacts(
       ++it;
     }
   }
-  // Table order is layout-dependent; allocation order is not.
-  std::sort(taken.begin(), taken.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
+  SortByVar(&taken);
   return taken;
+}
+
+std::vector<std::pair<Tuple, bdd::Var>> RuntimeBase::BaseFactsInOrder() const {
+  std::vector<std::pair<Tuple, bdd::Var>> facts(base_facts_.begin(),
+                                                base_facts_.end());
+  SortByVar(&facts);
+  return facts;
 }
 
 std::optional<Tuple> RuntimeBase::BaseFactOfVar(bdd::Var v) const {

@@ -271,6 +271,8 @@ class RuntimeBase {
   // every fact whose leading columns equal `key`.
   std::vector<std::pair<Tuple, bdd::Var>> TakeBaseFacts(const Tuple& key,
                                                         bool by_prefix = false);
+  // Every live base fact with its variable, in allocation order.
+  std::vector<std::pair<Tuple, bdd::Var>> BaseFactsInOrder() const;
 
   // Records one recursive-view membership change (no-op unless logging is
   // enabled). Runtimes call this at every point a tuple enters or leaves

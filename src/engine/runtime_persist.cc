@@ -8,63 +8,35 @@
 
 #include <utility>
 
-#include "engine/reachable_runtime.h"
+#include "engine/closure_runtime.h"
 #include "engine/region_runtime.h"
-#include "engine/shortest_path_runtime.h"
 #include "persist/codec.h"
 
 namespace recnet {
 
-void ReachableRuntime::SaveState(persist::SnapshotWriter& w) const {
+void ClosureRuntime::SaveState(persist::SnapshotWriter& w) const {
   RuntimeBase::SaveState(w);
-  persist::Writer& raw = w.raw();
-  // DRed's re-derivation base case fires links in exactly this order.
-  for (const auto& dsts : links_by_src_) {
-    raw.U32(static_cast<uint32_t>(dsts.size()));
-    for (LogicalNode d : dsts) raw.I32(d);
+  // The AggSel pair exists exactly when the shape has aggregate
+  // selections, which the reconstructed runtime shares. DRed's
+  // re-derivation seed is the base-fact table, already in the base section.
+  for (const RuleNode& node : nodes_) {
+    node.join->SaveState(w);
+    if (node.agg_fix == nullptr) continue;
+    node.agg_fix->SaveState(w);
+    node.agg_ship->SaveState(w);
   }
-  for (const auto& join : joins_) join->SaveState(w);
 }
 
-Status ReachableRuntime::LoadState(persist::SnapshotReader& r) {
+Status ClosureRuntime::LoadState(persist::SnapshotReader& r) {
   RECNET_RETURN_IF_ERROR(RuntimeBase::LoadState(r));
-  persist::Reader& raw = r.raw();
-  for (auto& dsts : links_by_src_) {
-    uint32_t ndsts = raw.U32();
-    if (!raw.CanRead(static_cast<size_t>(ndsts) * 4)) break;
-    RECNET_CHECK(dsts.empty());
-    dsts.reserve(ndsts);
-    for (uint32_t j = 0; j < ndsts; ++j) dsts.push_back(raw.I32());
-  }
-  for (auto& join : joins_) {
-    if (!raw.ok()) break;
-    RECNET_RETURN_IF_ERROR(join->LoadState(r));
-  }
-  return r.Check("reachable runtime state");
-}
-
-void ShortestPathRuntime::SaveState(persist::SnapshotWriter& w) const {
-  RuntimeBase::SaveState(w);
-  // The AggSel pair exists exactly when policy_ != kNone, which the
-  // reconstructed runtime shares.
-  for (const RuleNode& state : nodes_) {
-    state.join->SaveState(w);
-    if (state.agg_fix == nullptr) continue;
-    state.agg_fix->SaveState(w);
-    state.agg_ship->SaveState(w);
-  }
-}
-
-Status ShortestPathRuntime::LoadState(persist::SnapshotReader& r) {
-  RECNET_RETURN_IF_ERROR(RuntimeBase::LoadState(r));
-  for (RuleNode& state : nodes_) {
+  for (RuleNode& node : nodes_) {
     if (!r.raw().ok()) break;
-    RECNET_RETURN_IF_ERROR(state.join->LoadState(r));
-    if (state.agg_fix == nullptr) continue;
-    RECNET_RETURN_IF_ERROR(state.agg_fix->LoadState(r));
-    RECNET_RETURN_IF_ERROR(state.agg_ship->LoadState(r));
+    RECNET_RETURN_IF_ERROR(node.join->LoadState(r));
+    if (node.agg_fix == nullptr) continue;
+    RECNET_RETURN_IF_ERROR(node.agg_fix->LoadState(r));
+    RECNET_RETURN_IF_ERROR(node.agg_ship->LoadState(r));
   }
-  return r.Check("shortest-path runtime state");
+  return r.Check("closure runtime state");
 }
 
 void RegionRuntime::SaveState(persist::SnapshotWriter& w) const {

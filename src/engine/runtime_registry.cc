@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "engine/reachable_runtime.h"
@@ -78,6 +79,19 @@ Status GrowNodeSpace(RuntimeBase& rt, const std::string& relation,
 Status UnknownRelation(const std::string& relation, const std::string& known) {
   return Status::NotFound("unknown base relation '" + relation +
                           "' (this plan ingests '" + known + "')");
+}
+
+// Validates an incoming fact of the graph plans' link relation `edb` with
+// `arity` columns. Inserts grow the node-id space for unseen endpoint ids
+// (the dynamic-topology path); deletes only validate — a fact on an unknown
+// node cannot exist, so nothing should grow for it.
+Status CheckLinkFact(RuntimeBase& rt, const std::string& edb,
+                     const std::string& relation, const Tuple& fact,
+                     size_t arity, bool grow) {
+  if (relation != edb) return UnknownRelation(relation, edb);
+  RECNET_RETURN_IF_ERROR(CheckArity(relation, fact, arity));
+  RECNET_RETURN_IF_ERROR(GrowNodeSpace(rt, relation, fact, 0, grow));
+  return GrowNodeSpace(rt, relation, fact, 1, grow);
 }
 
 // Key/tuple comparison for lookups: numeric values compare by magnitude
@@ -160,7 +174,8 @@ class ReachableAdapter : public QueryRuntime {
       : plan_(plan), rt_(session.substrate(), num_nodes, options.runtime) {}
 
   Status InsertFact(const std::string& relation, const Tuple& fact) override {
-    RECNET_RETURN_IF_ERROR(CheckLink(relation, fact));
+    RECNET_RETURN_IF_ERROR(
+        CheckLinkFact(rt_, plan_.edb, relation, fact, 2, /*grow=*/true));
     rt_.InsertLink(static_cast<LogicalNode>(fact.IntAt(0)),
                    static_cast<LogicalNode>(fact.IntAt(1)));
     return Status::OK();
@@ -168,14 +183,10 @@ class ReachableAdapter : public QueryRuntime {
 
   Status DeleteFact(const std::string& relation, const Tuple& fact,
                     std::vector<Tuple>* deleted) override {
-    RECNET_RETURN_IF_ERROR(CheckLink(relation, fact, /*grow=*/false));
-    if (fact.IntAt(0) >= rt_.num_logical() ||
-        fact.IntAt(1) >= rt_.num_logical()) {
-      return Status::OK();  // Unknown node: the link cannot exist.
-    }
-    if (rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
-                       static_cast<LogicalNode>(fact.IntAt(1)))) {
-      deleted->push_back(fact);
+    RECNET_RETURN_IF_ERROR(
+        CheckLinkFact(rt_, plan_.edb, relation, fact, 2, /*grow=*/false));
+    for (Tuple& link : rt_.DeleteLinks(fact)) {
+      deleted->push_back(std::move(link));
     }
     return Status::OK();
   }
@@ -215,17 +226,6 @@ class ReachableAdapter : public QueryRuntime {
   }
 
  private:
-  // Validates an incoming link fact. Inserts grow the node-id space for
-  // unseen ids (the dynamic-topology path); deletes only validate — a
-  // fact on an unknown node cannot exist, so nothing should grow for it.
-  Status CheckLink(const std::string& relation, const Tuple& fact,
-                   bool grow = true) {
-    if (relation != plan_.edb) return UnknownRelation(relation, plan_.edb);
-    RECNET_RETURN_IF_ERROR(CheckArity(relation, fact, 2));
-    RECNET_RETURN_IF_ERROR(GrowNodeSpace(rt_, relation, fact, 0, grow));
-    return GrowNodeSpace(rt_, relation, fact, 1, grow);
-  }
-
   PlanSpec plan_;
   ReachableRuntime rt_;
 };
@@ -240,7 +240,8 @@ class ShortestPathAdapter : public QueryRuntime {
         rt_(session.substrate(), num_nodes, options.runtime, options.aggsel) {}
 
   Status InsertFact(const std::string& relation, const Tuple& fact) override {
-    RECNET_RETURN_IF_ERROR(GrowEndpoints(relation, fact, 3));
+    RECNET_RETURN_IF_ERROR(
+        CheckLinkFact(rt_, plan_.edb, relation, fact, 3, /*grow=*/true));
     RECNET_RETURN_IF_ERROR(CheckCost(relation, fact));
     rt_.InsertLink(static_cast<LogicalNode>(fact.IntAt(0)),
                    static_cast<LogicalNode>(fact.IntAt(1)), CostOf(fact));
@@ -251,21 +252,17 @@ class ShortestPathAdapter : public QueryRuntime {
                     std::vector<Tuple>* deleted) override {
     // A full fact deletes that link; the endpoints alone delete every link
     // between them, whatever its cost.
-    RECNET_RETURN_IF_ERROR(GrowEndpoints(relation, fact,
+    RECNET_RETURN_IF_ERROR(CheckLinkFact(rt_, plan_.edb, relation, fact,
                                          fact.size() == 2 ? 2 : 3,
                                          /*grow=*/false));
-    std::optional<double> cost;
+    Tuple key = fact;
     if (fact.size() == 3) {
       RECNET_RETURN_IF_ERROR(CheckCost(relation, fact));
-      cost = CostOf(fact);
+      // Stored links carry a double cost; an integral literal names the
+      // same link.
+      key = Tuple({fact.at(0), fact.at(1), Value(CostOf(fact))});
     }
-    if (fact.IntAt(0) >= rt_.num_logical() ||
-        fact.IntAt(1) >= rt_.num_logical()) {
-      return Status::OK();  // Unknown node: the link cannot exist.
-    }
-    for (Tuple& link : rt_.DeleteLink(static_cast<LogicalNode>(fact.IntAt(0)),
-                                      static_cast<LogicalNode>(fact.IntAt(1)),
-                                      cost)) {
+    for (Tuple& link : rt_.DeleteLinks(key)) {
       deleted->push_back(std::move(link));
     }
     return Status::OK();
@@ -337,11 +334,15 @@ class ShortestPathAdapter : public QueryRuntime {
     return ScanByName(*this, plan_, view,
                       [this]() -> StatusOr<std::vector<Tuple>> {
       // The materialized path view is pruned by aggregate selection; its
-      // stable projection is the min-cost tuple per (src, dst).
+      // stable projection is the min-cost tuple per (src, dst). One sweep
+      // of each source's partition yields all of its rows.
+      std::vector<LogicalNode> dsts(static_cast<size_t>(rt_.num_logical()));
+      std::iota(dsts.begin(), dsts.end(), 0);
       std::vector<Tuple> out;
       for (int src = 0; src < rt_.num_logical(); ++src) {
-        for (int dst = 0; dst < rt_.num_logical(); ++dst) {
-          std::optional<double> cost = rt_.MinCost(src, dst);
+        std::vector<std::optional<double>> costs = rt_.MinCosts(src, dsts);
+        for (LogicalNode dst : dsts) {
+          const std::optional<double>& cost = costs[static_cast<size_t>(dst)];
           if (!cost.has_value()) continue;
           out.push_back(Tuple({Value(static_cast<int64_t>(src)),
                                Value(static_cast<int64_t>(dst)),
@@ -424,16 +425,6 @@ class ShortestPathAdapter : public QueryRuntime {
     RECNET_RETURN_IF_ERROR(CheckArity(relation, fact, arity));
     RECNET_RETURN_IF_ERROR(CheckNode(relation, fact, 0, rt_.num_logical()));
     return CheckNode(relation, fact, 1, rt_.num_logical());
-  }
-
-  // Ingestion path: unseen endpoints grow the node-id space on insert;
-  // deletes only validate (a fact on an unknown node cannot exist).
-  Status GrowEndpoints(const std::string& relation, const Tuple& fact,
-                       size_t arity, bool grow = true) {
-    if (relation != plan_.edb) return UnknownRelation(relation, plan_.edb);
-    RECNET_RETURN_IF_ERROR(CheckArity(relation, fact, arity));
-    RECNET_RETURN_IF_ERROR(GrowNodeSpace(rt_, relation, fact, 0, grow));
-    return GrowNodeSpace(rt_, relation, fact, 1, grow);
   }
 
   PlanSpec plan_;

@@ -55,9 +55,9 @@ struct EngineOptions {
 // Apply patches the cached rows and indexes from the run's view deltas —
 // the runtime's log of tuples that entered or left the view — instead of
 // rebuilding from scratch. Dependent (aggregate) view caches re-derive
-// lazily from the patched recursive rows, never from a runtime sweep. The
-// only full-rebuild paths are soft-state TTL expiry
-// (InvalidateCachesForExpiry), aborted runs, and adapters that opt out of
+// lazily from the patched recursive rows, never from a runtime sweep.
+// Soft-state TTL expiry is an ordinary Delete, patched like any other. The
+// only full-rebuild paths are aborted runs and adapters that opt out of
 // delta reporting.
 class QueryRuntime {
  public:
@@ -78,11 +78,6 @@ class QueryRuntime {
   // several co-resident views calls the three phases itself so every view's
   // delta log is armed before the shared queue drains.
   Status Apply();
-
-  // Soft-state TTL expiry hook (called by the engine clock): drops every
-  // materialized cache. Expiry-driven deletions renew base variables
-  // outside the normal delta flow, so this stays a full rebuild.
-  void InvalidateCachesForExpiry() { InvalidateViewCaches(); }
 
   // All tuples of the recursive view or of a declared aggregate view, in
   // deterministic (sorted) order. NotFound for unknown view names. Served
@@ -161,8 +156,7 @@ class QueryRuntime {
                                        const Tuple& view_tuple,
                                        const Prov* pv) const;
 
-  // For adapters whose native accessors mutate view state outside the
-  // wrapped entry points, and for the TTL full-rebuild path.
+  // Drops every materialized cache (the full-rebuild path of FinishApply).
   void InvalidateViewCaches() const { view_caches_.clear(); }
 
  private:

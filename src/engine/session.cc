@@ -399,17 +399,11 @@ Status Session::AdvanceTime(double t) {
                                    std::to_string(clock_.now()) + ")");
   }
   std::vector<Tuple> expirations = clock_.AdvanceTo(t);
-  // TTL expiry is the one mutation source outside the incremental delta
-  // flow (deadlines fire from the session clock, not the dataflow); it
-  // stays a full cache rebuild, in every view.
-  if (!expirations.empty()) {
-    for (const auto& view : views_) {
-      view->runtime_->InvalidateCachesForExpiry();
-    }
-  }
-  // The clock has already dropped every deadline, so process the whole
-  // expiration batch even if one deletion fails — stopping early would
-  // silently make the remaining expired facts permanent.
+  // Each expiry is an ordinary deletion: it only enqueues, and the next
+  // Apply patches every view's scan caches from its delta log. The clock
+  // has already dropped every deadline, so process the whole expiration
+  // batch even if one deletion fails — stopping early would silently make
+  // the remaining expired facts permanent.
   Status first_error = Status::OK();
   for (const Tuple& expired : expirations) {
     std::vector<Value> fact(expired.values().begin() + 1,

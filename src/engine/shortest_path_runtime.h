@@ -6,9 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/runtime_base.h"
-#include "operators/agg_sel.h"
-#include "operators/hash_join.h"
+#include "engine/closure_runtime.h"
 
 namespace recnet {
 
@@ -28,12 +26,12 @@ const char* AggSelPolicyName(AggSelPolicy policy);
 // recursive view path(src, dst, vec, cost, length) plus the derived views
 // minCost, minHops, cheapestPath, fewestHops and shortestCheapestPath.
 //
-// The plan mirrors ReachableRuntime's (Figure 4) with path tuples instead
-// of reachable tuples; the AggSel module (Algorithm 4) is embedded at the
-// Fixpoint input and at the MinShip input (Algorithm 1 lines 2-8,
-// Algorithm 3 lines 4-8), so tuples that cannot affect any group aggregate
-// are suppressed before they are stored or shipped.
-class ShortestPathRuntime : public RuntimeBase {
+// The closure plan (Figure 4) over link(src, dst, cost) with path tuples as
+// the view, and the aggregate selections `policy` names pushed into the
+// Fixpoint and MinShip inputs, so tuples that cannot affect any group
+// aggregate are suppressed before they are stored or shipped. Runs under
+// absorption provenance only.
+class ShortestPathRuntime : public ClosureRuntime {
  public:
   ShortestPathRuntime(std::shared_ptr<Substrate> substrate, int num_nodes,
                       const RuntimeOptions& options, AggSelPolicy policy);
@@ -76,48 +74,6 @@ class ShortestPathRuntime : public RuntimeBase {
   // materialized (the runtime always runs under absorption provenance);
   // backs the facade's Explain witnesses for the path view.
   const Prov* ViewProvenance(LogicalNode src, LogicalNode dst) const;
-
-  // Snapshot round-trip (see RuntimeBase::SaveState): appends every node's
-  // join and aggregate selections. Defined in engine/runtime_persist.cc.
-  void SaveState(persist::SnapshotWriter& w) const override;
-  Status LoadState(persist::SnapshotReader& r) override;
-
- protected:
-  // Vectorized delivery: one (dst, port) switch and node-state lookup per
-  // run, with the operator applied across the whole batch.
-  void HandleBatch(const Envelope* envs, size_t n) override;
-  void KillRuleState(LogicalNode at,
-                     const std::vector<bdd::Var>& fresh) override;
-  // Dynamic node-id space: extends the per-node operator state when the
-  // substrate's topology grows (late facts mentioning unseen node ids).
-  void OnTopologyGrown(int num_nodes) override;
-  size_t RuleStateBytes() const override;
-
- private:
-  struct RuleNode {
-    std::unique_ptr<PipelinedHashJoin> join;
-    std::unique_ptr<AggSel> agg_fix;   // Pushed into the Fixpoint.
-    std::unique_ptr<AggSel> agg_ship;  // Pushed into MinShip.
-  };
-
-  RuleNode& node(LogicalNode n) { return nodes_[static_cast<size_t>(n)]; }
-
-  // Builds node n's rule operators, sizing tables for `expected_nodes`.
-  void InitNode(int n, size_t expected_nodes);
-
-  std::vector<AggSpec> AggSpecs() const;
-  // The handlers take the destination's RuleNode, resolved once per
-  // delivery batch rather than once per envelope.
-  void HandleFixStream(LogicalNode at, RuleNode& state, const Update& u);
-  void ApplyFixInsert(LogicalNode at, RuleNode& state, const Tuple& tuple,
-                      const Prov& pv);
-  void ApplyFixDelete(LogicalNode at, RuleNode& state, const Tuple& tuple);
-  void ShipPath(LogicalNode at, RuleNode& state, const Tuple& tuple,
-                const Prov& pv);
-  void ShipRetraction(LogicalNode at, Tuple tuple);
-
-  AggSelPolicy policy_;
-  std::vector<RuleNode> nodes_;
 };
 
 }  // namespace recnet

@@ -75,9 +75,9 @@ std::vector<Update> PipelinedHashJoin::ProcessInsert(Side side,
 std::vector<Update> PipelinedHashJoin::ProcessDelete(Side side,
                                                      const Tuple& tuple) {
   // Tuple-level deletion, used by DRed's over-deletion cascade (kSet) and
-  // by the shortest-path runtime's retraction stream in the provenance
-  // modes (aggregate selection displaces exact tuples; base-variable death
-  // goes through ProcessKill instead).
+  // by the closure runtime's retraction stream in the provenance modes
+  // (aggregate selection displaces exact tuples; base-variable death goes
+  // through ProcessKill instead).
   SideState& s = side_[side];
   auto it = s.prov.find(tuple);
   if (it == s.prov.end()) return {};

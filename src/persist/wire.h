@@ -30,9 +30,13 @@ inline constexpr uint64_t kSnapshotMagic = 0x706B63'74656E6372ULL;  // "rcnetckp
 // Version 5: each view's state leads with the shared skeleton (base-fact
 // table, pending quiescence work, every node's Fixpoint and MinShip) and
 // appends only its rules' operators; a shortest-path view without
-// aggregate selection stores no AggSel state. Readers accept exactly the
+// aggregate selection stores no AggSel state.
+// Version 6: the reachable and shortest-path views share one closure
+// section (every node's join, then its AggSel pair if the view has one);
+// the reachable view's per-source link index is gone, since DRed's
+// re-derivation seed is the base-fact table. Readers accept exactly the
 // writer's version.
-inline constexpr uint32_t kSnapshotVersion = 5;
+inline constexpr uint32_t kSnapshotVersion = 6;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 

@@ -300,6 +300,72 @@ TEST(PersistTest, RestoreAcrossShardCounts) {
   }
 }
 
+// DRed's re-derivation seed fires each node's live links in base-variable
+// order. Deleting and re-inserting link(0,1) gives it a fresh, larger
+// variable, so node 0's seed fires it after link(0,2) and link(0,3) —
+// unlike first-insertion order. A later DRed deletion re-derives through
+// that seed; its counters are pinned, and a checkpoint taken between the
+// re-insert and the deletion resumes with the same counters.
+TEST(PersistTest, DRedSeedOrderFollowsLinkRenewal) {
+  const Strategy dred = kStrategies[0];
+  const std::vector<std::pair<int, int>> links = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {3, 5}, {4, 5}, {5, 0}, {4, 6}};
+  // Phase 1: build the graph, then renew link(0,1).
+  auto phase1 = [&](Session* session) {
+    for (const auto& [src, dst] : links) {
+      ASSERT_TRUE(session->Insert("edge", {double(src), double(dst)}).ok());
+    }
+    ASSERT_TRUE(session->Apply().ok());
+    ASSERT_TRUE(session->Delete("edge", {0.0, 1.0}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+    ASSERT_TRUE(session->Insert("edge", {0.0, 1.0}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+  };
+  // Phase 2: a DRed deletion whose re-derivation re-fires node 0's links.
+  auto phase2 = [&](Session* session) {
+    ASSERT_TRUE(session->Delete("edge", {2.0, 4.0}).ok());
+    ASSERT_TRUE(session->Apply().ok());
+  };
+  const std::vector<std::string> views = {"reachable"};
+
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    Session control(SharedOptions(shards));
+    auto reach = control.AddProgram(kReachable, GraphOptions(dred));
+    ASSERT_TRUE(reach.ok());
+    phase1(&control);
+    phase2(&control);
+    ViewObservation want = Observe(*reach, views);
+    // Nodes 0, 1, 3, 4 and 5 reach every node 0..6 through the cycle
+    // 0 -> 1 -> 4 -> 5 -> 0; nodes 2 and 6 have no outgoing link.
+    std::vector<Tuple> expected;
+    for (int src : {0, 1, 3, 4, 5}) {
+      for (int dst = 0; dst <= 6; ++dst) {
+        expected.push_back(Tuple::OfInts({src, dst}));
+      }
+    }
+    EXPECT_EQ(want.scans[0], expected);
+    // Pinned trajectory counters.
+    EXPECT_EQ(want.metrics.messages, 278u);
+    EXPECT_EQ(want.metrics.kill_messages, 0u);
+    EXPECT_EQ(want.metrics.batches, 222u);
+
+    const std::string path = TempPath("dred-seed.ckpt");
+    {
+      Session session(SharedOptions(shards));
+      ASSERT_TRUE(session.AddProgram(kReachable, GraphOptions(dred)).ok());
+      phase1(&session);
+      ASSERT_TRUE(session.Checkpoint(path).ok());
+    }
+    Session restored(SharedOptions(shards));
+    Status st = restored.Restore(path);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    phase2(&restored);
+    ExpectObservationsEqual(Observe(restored.view(0), views), want,
+                            "restored");
+  }
+}
+
 // Shortest-path and region views round-trip too: operator state includes
 // aggregate selections, group-by counts, and the deployment-bound sensor
 // field (which must be re-encoded through EngineOptions).
@@ -558,8 +624,8 @@ TEST_F(PersistCorruptionTest, BitFlipIsDataLoss) {
 
 TEST_F(PersistCorruptionTest, VersionSkewIsInvalidArgument) {
   // Header layout: magic u64, then version u32. Only the writer's version
-  // restores: a future version and the previous formats (v3, v4) all fail.
-  for (char version : {char{99}, char{3}, char{4}}) {
+  // restores: a future version and the previous formats (v3-v5) all fail.
+  for (char version : {char{99}, char{3}, char{4}, char{5}}) {
     std::vector<char> skewed = bytes_;
     skewed[8] = version;
     WriteBack(skewed);

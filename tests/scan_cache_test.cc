@@ -130,7 +130,8 @@ TEST_P(ScanCacheProvTest, TtlExpiryInvalidatesCachedScans) {
   EXPECT_EQ(before->size(), 3u);
 
   // Advancing past the deadline expires the soft-state link; the expiry is
-  // an ordinary deletion and must purge the cached scan and lookup index.
+  // an ordinary deletion, and the next Apply patches the cached scan and
+  // lookup index.
   ASSERT_TRUE(e.AdvanceTime(6.0).ok());
   ASSERT_TRUE(e.Apply().ok());
   EXPECT_FALSE(*e.Contains("reachable", {0, 2}));

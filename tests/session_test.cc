@@ -622,6 +622,93 @@ TEST(SessionTest, BudgetAbortPoisonsOnlyTheInitiatingView) {
   EXPECT_EQ(*(*span)->Scan("span"), *(*isolated)->Scan("span"));
 }
 
+// TTL expiry is an ordinary deletion: with every view's scan caches live,
+// the Apply after an expiry patches them to exactly what a session that
+// never held the expired facts reads.
+TEST(SessionTest, ExpiryPatchesEveryViewsLiveCaches) {
+  const SensorField field = TestField();
+  const int seed = field.seed_sensors[0];
+  const int relay = field.neighbors[static_cast<size_t>(seed)][0];
+  struct Views {
+    View* reach;
+    View* path;
+    View* region;
+  };
+  auto add_views = [&](Session& session) {
+    auto reach =
+        session.AddProgram(kReachable, GraphOptions(ProvMode::kAbsorption));
+    auto path =
+        session.AddProgram(kShortestPath, GraphOptions(ProvMode::kAbsorption));
+    auto region = session.AddProgram(
+        kRegion, RegionOptions(field, ProvMode::kAbsorption));
+    EXPECT_TRUE(reach.ok() && path.ok() && region.ok());
+    return Views{*reach, *path, *region};
+  };
+  // The facts that outlive the expiry.
+  auto insert_permanent = [&](Session& session) {
+    ASSERT_TRUE(session.Insert("edge", {0, 1}).ok());
+    ASSERT_TRUE(session.Insert("edge", {2, 3}).ok());
+    ASSERT_TRUE(session.Insert("link", {0, 1, 1.0}).ok());
+    ASSERT_TRUE(session.Insert("link", {0, 2, 5.0}).ok());
+    ASSERT_TRUE(session.Insert("triggered", {double(seed)}).ok());
+  };
+  // Every read the test compares, served from the caches.
+  struct Reads {
+    std::vector<bool> reachable;
+    std::vector<std::string> min_cost;
+    std::vector<Tuple> region_sizes;
+  };
+  auto read = [](const Views& v) {
+    Reads r;
+    for (int src = 0; src < 4; ++src) {
+      for (int dst = 0; dst < 4; ++dst) {
+        auto hit = v.reach->Contains("reachable", {double(src), double(dst)});
+        EXPECT_TRUE(hit.ok());
+        r.reachable.push_back(hit.ok() && *hit);
+        auto cost = v.path->Lookup("minCost", {double(src), double(dst)});
+        r.min_cost.push_back(cost.ok() ? cost->ToString() : "none");
+      }
+    }
+    auto sizes = v.region->Scan("regionSizes");
+    EXPECT_TRUE(sizes.ok());
+    if (sizes.ok()) r.region_sizes = *sizes;
+    return r;
+  };
+
+  Session session(SharedOptions());
+  Views live = add_views(session);
+  insert_permanent(session);
+  ASSERT_TRUE(session.InsertWithTtl("edge", Tuple::OfInts({1, 2}), 5.0).ok());
+  ASSERT_TRUE(session.InsertWithTtl("link", Tuple({Value(int64_t{1}),
+                                                   Value(int64_t{2}),
+                                                   Value(1.0)}),
+                                    5.0)
+                  .ok());
+  ASSERT_TRUE(
+      session.InsertWithTtl("triggered", Tuple::OfInts({relay}), 5.0).ok());
+  ASSERT_TRUE(session.Apply().ok());
+  const Reads before = read(live);  // Materializes every cache.
+
+  ASSERT_TRUE(session.AdvanceTime(6.0).ok());
+  ASSERT_TRUE(session.Apply().ok());
+  const Reads after = read(live);
+
+  Session fresh(SharedOptions());
+  Views control = add_views(fresh);
+  insert_permanent(fresh);
+  ASSERT_TRUE(fresh.Apply().ok());
+  const Reads want = read(control);
+
+  // Every view changed across the expiry, and reads what the fresh
+  // session reads.
+  EXPECT_NE(before.reachable, after.reachable);
+  EXPECT_NE(before.min_cost, after.min_cost);
+  EXPECT_NE(before.region_sizes, after.region_sizes);
+  EXPECT_EQ(after.reachable, want.reachable);
+  EXPECT_EQ(after.min_cost, want.min_cost);
+  EXPECT_EQ(after.region_sizes, want.region_sizes);
+}
+
 TEST(SessionTest, SoftStateExpiryFansOutToEveryView) {
   Session session(Topology(3, 3));
   auto reach = session.AddProgram(R"(
