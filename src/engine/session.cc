@@ -720,6 +720,8 @@ Status Session::RecoverFromFault() {
 // The view states are serialized into a side buffer first: encoding them
 // discovers which BDD roots are live, and the node table those ids index
 // must precede them in the payload so Restore can decode front to back.
+// The file is written from three buffers — [summary .. dead vars],
+// [node table], [view states, view stats] — without joining them.
 
 Status Session::Checkpoint(const std::string& path) const {
   const Router& router = substrate_->router();
@@ -733,6 +735,11 @@ Status Session::Checkpoint(const std::string& path) const {
   summary.num_physical = router.num_physical();
   summary.shards = router.num_shards();
   {
+    // Tombstoned slots carry an empty relation name, so they count nowhere.
+    std::unordered_map<std::string, uint64_t> live_facts;
+    for (const auto& [relation, fact] : fact_log_) {
+      if (!relation.empty()) ++live_facts[relation];
+    }
     std::vector<std::string> names;
     names.reserve(relations_.size());
     for (const auto& [name, info] : relations_) names.push_back(name);
@@ -743,9 +750,8 @@ Status Session::Checkpoint(const std::string& path) const {
       rel.name = name;
       rel.arity = info.arity;
       rel.dynamic = info.dynamic;
-      for (const auto& [relation, fact] : fact_log_) {
-        if (relation == name) ++rel.live_facts;
-      }
+      auto live = live_facts.find(name);
+      if (live != live_facts.end()) rel.live_facts = live->second;
       summary.relations.push_back(std::move(rel));
     }
   }
@@ -795,32 +801,34 @@ Status Session::Checkpoint(const std::string& path) const {
   body.U64(dead.size());
   body.Bytes(dead.data(), dead.size());
 
-  // View states into the side buffer (registers BDD roots with `enc`), then
-  // the node table, then the states.
+  // View states and per-view network counters into their own piece
+  // (encoding the states registers BDD roots with `enc`), then the node
+  // table into another. The file gets the three pieces in payload order.
   persist::Writer views_buf;
   persist::SnapshotWriter views_sw(&views_buf, &enc);
   for (const auto& view : views_) {
     view->runtime_->native_runtime().SaveState(views_sw);
   }
-  body.PatchU32(bdd_patch, static_cast<uint32_t>(enc.num_nodes()));
-  enc.WriteNodeTable(&body);
-  body.Append(views_buf);
-
-  // Per-view network counters.
   for (const auto& view : views_) {
-    sw.PutStats(
+    views_sw.PutStats(
         router.stats(view->runtime_->native_runtime().port_namespace()));
   }
+  body.PatchU32(bdd_patch, static_cast<uint32_t>(enc.num_nodes()));
+  persist::Writer table;
+  enc.WriteNodeTable(&table);
+  const std::vector<const persist::Writer*> pieces = {&body, &table,
+                                                      &views_buf};
 
   // Injected snapshot tear: the write stops short inside the `.tmp` and the
   // rename never happens, so `path` is untouched — a prior checkpoint there
   // survives intact and the caller sees a typed Unavailable.
   fault::FaultInjector* injector = substrate_->fault_injector();
   if (injector != nullptr && injector->ShouldTearSnapshot()) {
-    const size_t total = persist::kSnapshotHeaderBytes + body.bytes().size();
-    return persist::WriteSnapshotFile(path, body, total / 2);
+    const size_t total = persist::kSnapshotHeaderBytes + body.bytes().size() +
+                         table.bytes().size() + views_buf.bytes().size();
+    return persist::WriteSnapshotFile(path, pieces, total / 2);
   }
-  return persist::WriteSnapshotFile(path, body);
+  return persist::WriteSnapshotFile(path, pieces);
 }
 
 Status Session::Restore(const std::string& path) {

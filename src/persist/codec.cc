@@ -21,13 +21,16 @@ uint32_t BddEncoder::Encode(bdd::BddRef root) {
   const uint32_t root_node = root >> 1;
   const uint32_t root_c = root & 1u;
   if (root_node == kIdTerminalNode) return root;  // kTrue -> 0, kFalse -> 1.
-  auto found = id_of_.find(root_node);
-  if (found != id_of_.end()) return (found->second << 1) | root_c;
+  // Every node reachable from `root` has an index below the manager's
+  // allocation high-water mark, which only grows between calls.
+  const size_t allocated = mgr_->allocated_nodes();
+  if (id_of_.size() < allocated) id_of_.resize(allocated, 0);
+  if (id_of_[root_node] != 0) return (id_of_[root_node] << 1) | root_c;
 
   auto mapped = [this](bdd::BddRef n) -> uint32_t {
     const uint32_t node = n >> 1;
     const uint32_t id = node == kIdTerminalNode ? kIdTerminalNode
-                                                : id_of_.at(node);
+                                                : id_of_[node];
     return (id << 1) | (n & 1u);
   };
 
@@ -35,35 +38,29 @@ uint32_t BddEncoder::Encode(bdd::BddRef root) {
   // one table entry): a node is interned only after both children, so the
   // table is topologically ordered and a decoder never sees a forward
   // reference.
-  std::vector<std::pair<bdd::NodeIndex, bool>> stack;
-  stack.emplace_back(root_node, false);
-  while (!stack.empty()) {
-    auto [n, expanded] = stack.back();
-    stack.pop_back();
-    if (n == kIdTerminalNode || id_of_.find(n) != id_of_.end()) continue;
+  stack_.emplace_back(root_node, false);
+  while (!stack_.empty()) {
+    auto [n, expanded] = stack_.back();
+    stack_.pop_back();
+    if (n == kIdTerminalNode || id_of_[n] != 0) continue;
     const bdd::BddRef ref = n << 1;  // Regular ref for this node.
     if (expanded) {
-      uint32_t id = static_cast<uint32_t>(nodes_.size()) + kIdBias;
       nodes_.push_back(EncodedNode{mgr_->var_of(ref),
                                    mapped(mgr_->low_of(ref)),
                                    mapped(mgr_->high_of(ref))});
-      id_of_.emplace(n, id);
+      id_of_[n] = static_cast<uint32_t>(nodes_.size() - 1) + kIdBias;
     } else {
-      stack.emplace_back(n, true);
-      stack.emplace_back(mgr_->high_of(ref) >> 1, false);
-      stack.emplace_back(mgr_->low_of(ref) >> 1, false);
+      stack_.emplace_back(n, true);
+      stack_.emplace_back(mgr_->high_of(ref) >> 1, false);
+      stack_.emplace_back(mgr_->low_of(ref) >> 1, false);
     }
   }
-  return (id_of_.at(root_node) << 1) | root_c;
+  return (id_of_[root_node] << 1) | root_c;
 }
 
 void BddEncoder::WriteNodeTable(Writer* w) const {
   w->U32(static_cast<uint32_t>(nodes_.size()));
-  for (const EncodedNode& n : nodes_) {
-    w->U32(n.var);
-    w->U32(n.low);
-    w->U32(n.high);
-  }
+  w->Bytes(nodes_.data(), nodes_.size() * sizeof(EncodedNode));
 }
 
 Status BddDecoder::ReadNodeTable(Reader* r) {

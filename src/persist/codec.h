@@ -2,7 +2,7 @@
 #define RECNET_PERSIST_CODEC_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -24,6 +24,15 @@ namespace persist {
 // referencing the roots, so a snapshot stores the manager's live graph once
 // no matter how many annotations share it — the on-disk analogue of
 // hash-consing.
+//
+// The node-index -> table-id map is dense: one u32 per index the manager
+// has ever allocated (4 B each, 0 = not yet interned), grown to
+// Manager::allocated_nodes() whenever an Encode call finds it short. A
+// checkpoint encodes most of the live graph, so a flat array costs less
+// memory than a hash map over the encoded nodes (~40 B each) and no hashing
+// at all; the DFS stack is a member reused by every call. Node indices are
+// only looked up, never ordered on, so table order and root ids depend only
+// on the roots' graphs and the order they are encoded in.
 class BddEncoder {
  public:
   explicit BddEncoder(const bdd::Manager* mgr) : mgr_(mgr) {}
@@ -34,23 +43,30 @@ class BddEncoder {
   uint32_t Encode(bdd::BddRef root);
 
   // u32 node count, then (u32 var, u32 low ref, u32 high ref) per node in
-  // table order. Children-before-parents, so a decoder interns in one pass.
+  // table order, written as one block. Children-before-parents, so a
+  // decoder interns in one pass.
   void WriteNodeTable(Writer* w) const;
 
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
+  // The on-disk record itself: three packed native u32s.
   struct EncodedNode {
     uint32_t var;
     uint32_t low;
     uint32_t high;
   };
+  static_assert(sizeof(EncodedNode) == 3 * sizeof(uint32_t),
+                "a table entry is written as its raw bytes");
 
   const bdd::Manager* mgr_;
-  // Keyed by node index (complement stripped): a root and its negation
-  // share one table entry, exactly as they share one stored node.
-  std::unordered_map<bdd::NodeIndex, uint32_t> id_of_;
+  // Table id (position + 1) by node index, complement stripped: a root and
+  // its negation share one table entry, exactly as they share one stored
+  // node. 0 means not yet interned.
+  std::vector<uint32_t> id_of_;
   std::vector<EncodedNode> nodes_;
+  // Post-order DFS stack: (node index, children already pushed).
+  std::vector<std::pair<bdd::NodeIndex, bool>> stack_;
 };
 
 // Decodes a BddEncoder node table into a live manager, holding a protecting

@@ -6,8 +6,7 @@
 namespace recnet {
 namespace persist {
 
-uint64_t Fnv1a(const uint8_t* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t h) {
   for (size_t i = 0; i < n; ++i) {
     h ^= data[i];
     h *= 0x100000001b3ULL;
@@ -56,42 +55,53 @@ Status ValidatePrefix(Reader& r, const std::string& path,
 
 }  // namespace
 
-Status WriteSnapshotFile(const std::string& path, const Writer& payload,
+Status WriteSnapshotFile(const std::string& path,
+                         const std::vector<const Writer*>& pieces,
                          size_t tear_after_bytes) {
+  uint64_t payload_n = 0;
+  uint64_t checksum = kFnv1aOffsetBasis;
+  for (const Writer* piece : pieces) {
+    payload_n += piece->bytes().size();
+    checksum = Fnv1a(piece->bytes().data(), piece->bytes().size(), checksum);
+  }
   Writer head;
   head.U64(kSnapshotMagic);
   head.U32(kSnapshotVersion);
   head.U32(kEndianTag);
-  head.U64(payload.bytes().size());
-  head.U64(Fnv1a(payload.bytes().data(), payload.bytes().size()));
+  head.U64(payload_n);
+  head.U64(checksum);
 
   // Everything lands in the temporary first; `path` is only ever touched by
   // the final rename, which the filesystem performs atomically. An injected
   // tear stops the write short and skips the rename — the torn file is the
   // .tmp, never the target.
   const std::string tmp = path + ".tmp";
-  const size_t head_n = head.bytes().size();
-  const size_t total = head_n + payload.bytes().size();
-  const size_t limit = tear_after_bytes < total ? tear_after_bytes : total;
-  const size_t head_write = limit < head_n ? limit : head_n;
-  const size_t payload_write = limit - head_write;
+  const size_t total = head.bytes().size() + payload_n;
+  size_t budget = tear_after_bytes < total ? tear_after_bytes : total;
+  const bool torn = budget != total;
 
   File f(std::fopen(tmp.c_str(), "wb"));
   if (f == nullptr) {
     return Status::InvalidArgument("cannot open for writing: " + tmp);
   }
-  if (std::fwrite(head.bytes().data(), 1, head_write, f.get()) != head_write ||
-      std::fwrite(payload.bytes().data(), 1, payload_write, f.get()) !=
-          payload_write) {
+  auto put = [&](const Writer& w) {
+    const size_t n = w.bytes().size() < budget ? w.bytes().size() : budget;
+    budget -= n;
+    return n == 0 || std::fwrite(w.bytes().data(), 1, n, f.get()) == n;
+  };
+  bool written = put(head);
+  for (const Writer* piece : pieces) written = written && put(*piece);
+  if (!written) {
     return Status::Internal("short write: " + tmp);
   }
   if (std::fflush(f.get()) != 0) {
     return Status::Internal("flush failed: " + tmp);
   }
   f.reset();  // Close before rename: a renamed-but-open file is not durable.
-  if (limit != total) {
-    return Status::Unavailable("injected snapshot tear after " +
-                               std::to_string(limit) + " bytes: " + tmp);
+  if (torn) {
+    return Status::Unavailable(
+        "injected snapshot tear after " + std::to_string(tear_after_bytes) +
+        " bytes: " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Internal("rename failed: " + tmp + " -> " + path);

@@ -40,7 +40,11 @@ inline constexpr uint32_t kSnapshotVersion = 6;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 
-uint64_t Fnv1a(const uint8_t* data, size_t n);
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
+
+// FNV-1a over `n` bytes, continuing from `h`: hashing a buffer in pieces,
+// each call seeded with the previous result, equals hashing it whole.
+uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t h = kFnv1aOffsetBasis);
 
 // Append-only byte buffer with fixed-width little-endian-native encodings.
 class Writer {
@@ -164,12 +168,19 @@ struct SnapshotHeader {
 // (or injected fault) mid-write never leaves a partial file at `path`; at
 // worst a torn `.tmp` remains, which the next successful write replaces.
 //
+// The payload is the concatenation of `pieces`, in order. Each piece is
+// hashed and written where it lies, so a caller that builds its payload in
+// several buffers never copies them into one; the header's size and
+// checksum are those of the concatenation, and the file is byte-identical
+// to a single-buffer write of it.
+//
 // `tear_after_bytes` is the fault-injection hook: when set to less than the
-// full container size, exactly that many bytes are written to the temporary,
-// the rename is skipped, and Unavailable is returned — modeling a process
-// death mid-checkpoint. Production callers leave it at the default (no
-// tear).
-Status WriteSnapshotFile(const std::string& path, const Writer& payload,
+// full container size, exactly that many bytes (counted across the header
+// and every piece) are written to the temporary, the rename is skipped, and
+// Unavailable is returned — modeling a process death mid-checkpoint.
+// Production callers leave it at the default (no tear).
+Status WriteSnapshotFile(const std::string& path,
+                         const std::vector<const Writer*>& pieces,
                          size_t tear_after_bytes = SIZE_MAX);
 
 // Reads and validates the container. Typed failures:

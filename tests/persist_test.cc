@@ -682,40 +682,79 @@ TEST_F(PersistCorruptionTest, BitFlipFuzzIsTyped) {
 
 // Crash-atomic writes: WriteSnapshotFile stages into `<path>.tmp` and
 // renames only once complete, so an interrupted write never leaves a
-// partial file at the target.
+// partial file at the target. The payload arrives as ordered pieces; a
+// three-piece payload tears, lands and checksums exactly like its
+// concatenation.
 TEST(PersistTest, WriteSnapshotFileIsCrashAtomic) {
   const std::string path = TempPath("atomic.snap");
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
   auto file_size = [](const std::string& p) -> long {
     std::ifstream in(p, std::ios::binary | std::ios::ate);
     return in.good() ? static_cast<long>(in.tellg()) : -1;
   };
 
-  persist::Writer payload;
-  for (uint32_t i = 0; i < 64; ++i) payload.U32(i);
-  const size_t total = persist::kSnapshotHeaderBytes + payload.bytes().size();
+  persist::Writer single;
+  for (uint32_t i = 0; i < 64; ++i) single.U32(i);
+  persist::Writer first, second, third;
+  first.Str("summary");
+  for (uint32_t i = 0; i < 40; ++i) second.U32(i * 7919u);
+  third.U8(0xab);
+  third.U64(0x0123456789abcdefULL);
 
-  // Tears at every interesting boundary: nothing written, mid-header,
-  // mid-payload, one byte short. The target never appears; the tmp holds
-  // exactly the torn prefix.
-  for (size_t tear : {size_t{0}, size_t{1}, persist::kSnapshotHeaderBytes - 1,
-                      persist::kSnapshotHeaderBytes + 1, total - 1}) {
-    Status st = persist::WriteSnapshotFile(path, payload, tear);
-    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "tear " << tear;
-    EXPECT_EQ(file_size(path), -1) << "tear " << tear << " touched the target";
-    EXPECT_EQ(file_size(path + ".tmp"), static_cast<long>(tear));
+  const size_t h = persist::kSnapshotHeaderBytes;
+  const size_t a = first.bytes().size();
+  const size_t b = second.bytes().size();
+  const size_t single_total = h + single.bytes().size();
+  const size_t split_total = h + a + b + third.bytes().size();
+  struct Input {
+    std::vector<const persist::Writer*> pieces;
+    // Tears at every interesting boundary: nothing written, mid-header,
+    // mid-payload (for the split input: inside the second and third
+    // pieces, and on the boundary between them), one byte short.
+    std::vector<size_t> tears;
+  };
+  const std::vector<Input> inputs = {
+      {{&single},
+       {0, 1, h - 1, h + 1, single_total - 1}},
+      {{&first, &second, &third},
+       {0, h - 1, h + a, h + a + 1, h + a + b - 1, h + a + b, h + a + b + 1,
+        split_total - 1}},
+  };
+
+  for (const Input& input : inputs) {
+    std::vector<uint8_t> concat;
+    for (const persist::Writer* piece : input.pieces) {
+      concat.insert(concat.end(), piece->bytes().begin(),
+                    piece->bytes().end());
+    }
+    const size_t total = h + concat.size();
+    const std::string what = std::to_string(input.pieces.size()) + " piece(s)";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+
+    // The target never appears; the tmp holds exactly the torn prefix.
+    for (size_t tear : input.tears) {
+      Status st = persist::WriteSnapshotFile(path, input.pieces, tear);
+      EXPECT_EQ(st.code(), StatusCode::kUnavailable) << what << " tear " << tear;
+      EXPECT_EQ(file_size(path), -1)
+          << what << " tear " << tear << " touched the target";
+      EXPECT_EQ(file_size(path + ".tmp"), static_cast<long>(tear)) << what;
+    }
+
+    // The complete write lands and consumes the tmp.
+    Status st = persist::WriteSnapshotFile(path, input.pieces);
+    ASSERT_TRUE(st.ok()) << what << ": " << st.ToString();
+    EXPECT_EQ(file_size(path), static_cast<long>(total)) << what;
+    EXPECT_EQ(file_size(path + ".tmp"), -1) << what;
+
+    std::vector<uint8_t> read_back;
+    persist::SnapshotHeader header;
+    ASSERT_TRUE(persist::ReadSnapshotPayload(path, &read_back, &header).ok())
+        << what;
+    EXPECT_EQ(read_back, concat) << what;
+    EXPECT_EQ(header.payload_size, concat.size()) << what;
+    EXPECT_EQ(header.checksum, persist::Fnv1a(concat.data(), concat.size()))
+        << what;
   }
-
-  // The complete write lands and consumes the tmp.
-  Status st = persist::WriteSnapshotFile(path, payload);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(file_size(path), static_cast<long>(total));
-  EXPECT_EQ(file_size(path + ".tmp"), -1);
-
-  std::vector<uint8_t> read_back;
-  ASSERT_TRUE(persist::ReadSnapshotPayload(path, &read_back).ok());
-  EXPECT_EQ(read_back, payload.bytes());
   std::remove(path.c_str());
 }
 
@@ -984,12 +1023,20 @@ std::vector<bdd::BddRef> ComplementRichRoots(bdd::Manager& mgr) {
 // bits survive the round trip — a root and its negation differ by exactly
 // the low id bit on the wire and come back as exact tagged-ref negations.
 TEST(PersistCodecTest, ComplementEdgeBddsEncodeIdenticallyAcrossSlots) {
+  // A conjunction over variables ComplementRichRoots never uses, encoded
+  // after its roots.
+  auto late_root = [](bdd::Manager& mgr) {
+    bdd::BddRef f = bdd::kTrue;
+    for (bdd::Var v = 200; v < 264; ++v) f = mgr.And(f, mgr.MakeVar(v));
+    return f;
+  };
   std::vector<std::vector<uint8_t>> encodings;
   std::vector<std::vector<uint32_t>> ids;
   for (size_t slots : {1, 2, 4}) {
     bdd::Manager mgr;
     mgr.EnsureWorkerSlots(slots);
     std::vector<bdd::BddRef> roots = ComplementRichRoots(mgr);
+    roots.push_back(late_root(mgr));
     persist::BddEncoder enc(&mgr);
     persist::Writer w;
     std::vector<uint32_t> root_ids;
@@ -998,10 +1045,39 @@ TEST(PersistCodecTest, ComplementEdgeBddsEncodeIdenticallyAcrossSlots) {
     encodings.push_back(w.bytes());
     ids.push_back(std::move(root_ids));
   }
-  EXPECT_EQ(encodings[0], encodings[1]);
-  EXPECT_EQ(encodings[0], encodings[2]);
-  EXPECT_EQ(ids[0], ids[1]);
-  EXPECT_EQ(ids[0], ids[2]);
+  // Fourth configuration: the roots land in slots a collection recycled,
+  // and the late root is interned between two Encode calls, so the
+  // encoder's index map must grow mid-encode.
+  {
+    bdd::Manager mgr;
+    {
+      std::vector<bdd::Bdd> garbage;
+      for (bdd::Var v = 40; v < 80; ++v) {
+        garbage.emplace_back(&mgr, mgr.Or(mgr.MakeVar(v), mgr.MakeVar(v + 1)));
+      }
+    }
+    ASSERT_GT(mgr.GarbageCollect(), 0u);
+    const size_t high_water = mgr.allocated_nodes();
+    std::vector<bdd::BddRef> roots = ComplementRichRoots(mgr);
+    EXPECT_TRUE(std::any_of(roots.begin(), roots.end(), [&](bdd::BddRef r) {
+      return (r >> 1) != 0 && (r >> 1) < high_water;
+    })) << "no root landed in a recycled slot";
+    persist::BddEncoder enc(&mgr);
+    persist::Writer w;
+    std::vector<uint32_t> root_ids;
+    const size_t half = roots.size() / 2;
+    for (size_t i = 0; i < roots.size(); ++i) {
+      root_ids.push_back(enc.Encode(roots[i]));
+      if (i == half) roots.push_back(late_root(mgr));
+    }
+    enc.WriteNodeTable(&w);
+    encodings.push_back(w.bytes());
+    ids.push_back(std::move(root_ids));
+  }
+  for (size_t i = 1; i < encodings.size(); ++i) {
+    EXPECT_EQ(encodings[0], encodings[i]) << "configuration " << i;
+    EXPECT_EQ(ids[0], ids[i]) << "configuration " << i;
+  }
 
   // Decode into a fresh manager: refs are semantically identical and the
   // negation pairing is preserved ref-for-ref.
